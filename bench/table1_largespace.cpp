@@ -42,8 +42,9 @@ int main() {
   std::printf("\n=== Table 1 — large object space support (scaled reproduction) ===\n");
   std::printf("scenario: 4 nodes, 8 MB DMM window/node, 64 MB shared 2-D array (8x over-commit);\n");
   std::printf("every row is swapped through the local disk at least once.\n\n");
-  std::printf("%-28s %8s %12s %12s %12s %14s\n", "platform (disk model)", "rows X", "exec (s)",
-              "disk r/w (s)", "swap GBs", "paper (s)");
+  std::printf("%-28s %8s %12s %12s %12s %14s %14s %10s\n", "platform (disk model)", "rows X",
+              "exec (s)", "disk r/w (s)", "swap GBs", "paper (s)", "retained words",
+              "fallbacks");
 
   for (const auto& plat : kPlatforms) {
     Config cfg;
@@ -90,12 +91,18 @@ int main() {
     }
     const double exec_s = static_cast<double>(wall_us) / 1e6 +
                           static_cast<double>(disk_us + net_us) / 1e6;
-    std::printf("%-28s %8zu %12.2f %12.2f %12.2f %14s\n", plat.name, kRows, exec_s,
+    // The barrier footprint: diff payload words the nodes held at their
+    // peaks (summed). Each row's writer here is not its initial home, so
+    // it keeps its words until the plan hands it the home. Fallbacks
+    // count diffs rebuilt because a plan disagreed with a home writer.
+    std::printf("%-28s %8zu %12.2f %12.2f %12.2f %14s %14llu %10llu\n", plat.name, kRows, exec_s,
                 static_cast<double>(disk_us) / 1e6,
                 static_cast<double>(total.swap_bytes_out.load() + total.swap_bytes_in.load()) /
                     (1u << 30),
                 plat.paper_seconds > 0 ? std::to_string(static_cast<int>(plat.paper_seconds)).c_str()
-                                       : "(space run)");
+                                       : "(space run)",
+                static_cast<unsigned long long>(total.diff_words_retained_peak.load()),
+                static_cast<unsigned long long>(total.barrier_fallback_diffs.load()));
   }
 
   // --- the 117.77 GB headline: object space bounded by disk free space ---

@@ -27,6 +27,8 @@ void for_each_counter(NodeStats& s, Fn&& fn) {
   fn(s.merge_redundant_words);
   fn(s.diff_payload_bytes);
   fn(s.diff_bytes_saved);
+  fn(s.diff_words_retained_peak);
+  fn(s.barrier_fallback_diffs);
   fn(s.object_fetches);
   fn(s.page_fetches);
   fn(s.invalidations);
@@ -106,6 +108,8 @@ void NodeStats::print(std::ostream& os, const std::string& label) const {
      << " merge_redundant=" << merge_redundant_words.load()
      << " diff_payload_bytes=" << diff_payload_bytes.load()
      << " rle_saved=" << diff_bytes_saved.load()
+     << " retained_words_peak=" << diff_words_retained_peak.load()
+     << " barrier_fallbacks=" << barrier_fallback_diffs.load()
      << " inval=" << invalidations.load() << " homemig=" << home_migrations.load()
      << " lockmig=" << lock_migrations.load() << " notices=" << home_commit_notices.load()
      << " redirect_retries=" << fetch_redirect_retries.load()

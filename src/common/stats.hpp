@@ -61,6 +61,16 @@ struct NodeStats {
                                                   ///< on the wire
   std::atomic<uint64_t> diff_bytes_saved{0};      ///< bytes the RLE encoders
                                                   ///< shaved off the flat forms
+  std::atomic<uint64_t> diff_words_retained_peak{0};  ///< most diff payload words
+                                                      ///< held in local_writes at
+                                                      ///< once (a per-node peak;
+                                                      ///< accumulate sums them)
+  std::atomic<uint64_t> barrier_fallback_diffs{0};  ///< barrier diffs rebuilt from
+                                                    ///< the copy because the plan
+                                                    ///< named another home than
+                                                    ///< this home writer (nonzero
+                                                    ///< on a clean run: the home
+                                                    ///< views disagreed)
   std::atomic<uint64_t> object_fetches{0};
   std::atomic<uint64_t> page_fetches{0};
   std::atomic<uint64_t> invalidations{0};

@@ -1,14 +1,17 @@
 // Barrier synchronization: migrating-home write-invalidate (paper §3.4,
 // Fig. 6), orchestrated by a two-phase protocol at the master (node 0).
 //
-// Phase 1 — every node flushes its interval twins into diff records and
-// sends the *ids* of the objects it modified (metadata only) to the
-// master. When all nodes have arrived the master computes the plan:
+// Phase 1 — every node flushes its interval twins and sends the *ids* of
+// the objects it modified, each with its own view of the object's home
+// (metadata only), to the master. A home writer's flush keeps no diff
+// payload, only the stamps in its copy. When all nodes have arrived the
+// master computes the plan:
 //   * single-writer object  -> home migrates to the writer; no object
 //     data moves at all ("this information can be piggybacked on the
 //     barrier exit message");
-//   * multi-writer object   -> home stays put; every non-home writer
-//     sends its merged diff to the home.
+//   * multi-writer object   -> home stays put — at the writer that
+//     claims it, else where the writers' views point; every other
+//     writer sends its merged diff to the home.
 // Phase 2 — writers deliver diffs, coalesced into ONE kDiffBatch per
 // destination peer (acked), then report done; the master releases
 // everyone. On exit every node invalidates its copies of modified
@@ -68,11 +71,13 @@ void Node::barrier_leader() {
 
   // ---- flush local writes of the ending interval ----
   const uint32_t flush_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  coherence_.flush_interval(flush_epoch);
+  coherence_.flush_barrier(flush_epoch);
   epoch_.store(flush_epoch, std::memory_order_relaxed);
-  std::vector<ObjectId> mods;
+  // The write summary: every object written since the last barrier, with
+  // this node's view of its home (the master's merge-arbiter evidence).
+  std::vector<std::pair<ObjectId, int32_t>> mods;
   dir_.for_each([&](ObjectMeta& m) {
-    if (!m.local_writes.empty()) mods.push_back(m.id);
+    if (!m.local_writes.empty() || m.home_written) mods.emplace_back(m.id, m.home);
   });
   const uint32_t my_epoch = epoch_.load(std::memory_order_relaxed);
 
@@ -84,7 +89,10 @@ void Node::barrier_leader() {
     net::Writer w(enter.payload);
     w.u32(my_epoch);
     w.u32(static_cast<uint32_t>(mods.size()));
-    for (ObjectId id : mods) w.u32(id);
+    for (const auto& [id, home] : mods) {
+      w.u32(id);
+      w.i32(home);
+    }
   }
   net::Message plan_msg = ep_.request(std::move(enter));
   net::Reader pr(plan_msg.payload);
@@ -107,7 +115,8 @@ void Node::barrier_leader() {
     // encoded once, cloned per peer).
     std::vector<DiffRecord> merged;
     uint64_t redundant = 0;
-    for (ObjectId id : mods) {
+    for (const auto& mod : mods) {
+      const ObjectId id = mod.first;
       auto lk = dir_.lock_shard(id);
       ObjectMeta& m = dir_.get(id);
       DiffRecord rec = merge_records(m.local_writes, /*since=*/0, &redundant);
@@ -119,17 +128,19 @@ void Node::barrier_leader() {
   } else {
     // Mixed / write-invalidate: diffs flow to the (possibly migrated)
     // home, and only for multi-writer objects — a single writer becomes
-    // the home, moving zero object data.
-    uint64_t redundant = 0;
+    // the home, moving zero object data. A home writer kept no payload;
+    // when the plan names another home after all (a stale view, or two
+    // writers that both believed they were home) it rebuilds the diff
+    // from its copy's stamps instead (§3.5 on demand).
     for (const auto& e : plan) {
       auto lk = dir_.lock_shard(e.object);
       ObjectMeta* m = dir_.find(e.object);
-      if (!m || m->local_writes.empty()) continue;  // not my write
-      if (e.new_home == rank_) continue;            // I hold the newest copy
-      DiffRecord rec = merge_records(m->local_writes, /*since=*/0, &redundant);
+      if (!m || (m->local_writes.empty() && !m->home_written)) continue;  // not my write
+      if (e.new_home == rank_) continue;  // I hold the newest copy
+      if (m->home_written) stats_.barrier_fallback_diffs.fetch_add(1, std::memory_order_relaxed);
+      DiffRecord rec = coherence_.barrier_diff(*m, last_barrier_epoch_.load());
       if (!rec.word_idx.empty()) by_peer[e.new_home].push_back(std::move(rec));
     }
-    stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
     outs = CoherenceEngine::build_diff_batches(by_peer, dense_ok, rt_.config().diff_rle,
                                                stats_);
   }
@@ -250,7 +261,7 @@ std::vector<ObjectId> Node::apply_barrier_plan(const std::vector<BarrierPlanEntr
     if (!m) continue;
     if (write_update_everywhere) {
       // Updates were broadcast; everyone stays valid, homes do not move.
-      m->local_writes.clear();
+      coherence_.clear_writes(*m);
       m->valid_epoch = new_epoch;
       continue;
     }
@@ -296,7 +307,7 @@ std::vector<ObjectId> Node::apply_barrier_plan(const std::vector<BarrierPlanEntr
       m->pending.clear();
       if (m->map == MapState::kMapped) invalidated_mapped.push_back(e.object);
     }
-    m->local_writes.clear();
+    coherence_.clear_writes(*m);
   }
   // Adopt remotely parked images for objects we just became home of.
   // Runs before barrier() reports done, so no fetch can observe a home
@@ -326,7 +337,7 @@ std::vector<ObjectId> Node::apply_barrier_plan(const std::vector<BarrierPlanEntr
     }
   }
   epoch_.store(new_epoch, std::memory_order_relaxed);
-  last_barrier_epoch_ = new_epoch;
+  last_barrier_epoch_.store(new_epoch);
   return invalidated_mapped;
 }
 
@@ -361,26 +372,6 @@ void Node::on_barrier_enter(net::Message&& m) {
   net::Reader r(m.payload);
   const uint32_t epoch = r.u32();
   const uint32_t nmods = r.u32();
-  // Decode ids, then look up homes only for ids the master has not seen
-  // this barrier — under their shard locks, BEFORE sync_mu_ (sync_mu_ is
-  // never held while taking a shard lock). Handlers run on the single
-  // service thread, so master_ cannot change between the two sections.
-  std::vector<ObjectId> ids(nmods);
-  for (auto& id : ids) id = r.u32();
-  std::vector<ObjectId> unseen;
-  {
-    std::lock_guard sl(sync_mu_);
-    for (ObjectId id : ids) {
-      if (!master_.old_homes.count(id)) unseen.push_back(id);
-    }
-  }
-  std::unordered_map<ObjectId, int32_t> homes;
-  for (ObjectId id : unseen) {
-    auto lk = dir_.lock_shard(id);
-    ObjectMeta* obj = dir_.find(id);
-    homes[id] = obj ? obj->home : 0;
-  }
-
   std::unique_lock lk(sync_mu_);
   master_.max_epoch = std::max(master_.max_epoch, epoch);
   // Death accounting: the rank is now inside the two-phase protocol
@@ -388,10 +379,16 @@ void Node::on_barrier_enter(net::Message&& m) {
   // before that point makes the barrier unrecoverable, because the plan
   // below may partially apply cluster-wide.
   master_.in_barrier.insert(m.src);
-  for (ObjectId id : ids) {
-    master_.writers[id].push_back(m.src);
-    auto it = homes.find(id);
-    if (it != homes.end()) master_.old_homes.try_emplace(id, it->second);
+  // Every writer names its home view. The master's own directory is no
+  // evidence: alloc_object is node-local, so this rank may not have
+  // created the id yet when a faster rank's enter arrives.
+  for (uint32_t i = 0; i < nmods; ++i) {
+    const ObjectId id = r.u32();
+    const int32_t view = r.i32();
+    MasterBarrier::Mod& mod = master_.mods[id];
+    mod.writers.push_back(m.src);
+    if (view == m.src && (mod.claim < 0 || m.src < mod.claim)) mod.claim = m.src;
+    if (mod.view < 0 || view < mod.view) mod.view = view;
   }
   master_.enter_reqs.push_back(std::move(m));
   // Rendezvous over the LIVE set: after a recovery the dead rank never
@@ -403,11 +400,12 @@ void Node::on_barrier_enter(net::Message&& m) {
   std::vector<uint8_t> plan_payload;
   net::Writer w(plan_payload);
   w.u32(new_epoch);
-  w.u32(static_cast<uint32_t>(master_.writers.size()));
+  w.u32(static_cast<uint32_t>(master_.mods.size()));
   const bool adaptive = rt_.config().protocol == ProtocolMode::kAdaptive;
-  for (const auto& [id, writers] : master_.writers) {
+  for (const auto& [id, mod] : master_.mods) {
+    const std::vector<int32_t>& writers = mod.writers;
     const bool multi = writers.size() > 1;
-    const int32_t old_home = master_.old_homes[id];
+    const int32_t old_home = mod.old_home();
     // Fig. 6: a lone writer inherits the home (no data transfer); with
     // several writers the existing home arbitrates the merge.
     int32_t new_home = multi ? old_home : writers.front();
@@ -436,8 +434,7 @@ void Node::on_barrier_enter(net::Message&& m) {
   master_.enter_reqs.clear();
   master_.arrived = 0;
   master_.max_epoch = 0;
-  master_.writers.clear();
-  master_.old_homes.clear();
+  master_.mods.clear();
   lk.unlock();
   for (auto& req : reqs) {
     net::Message resp;

@@ -76,6 +76,16 @@ void CoherenceEngine::apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t se
 }
 
 std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, int thread) {
+  std::vector<DiffRecord> out;
+  flush(flush_epoch, thread, &out);
+  return out;
+}
+
+void CoherenceEngine::flush_barrier(uint32_t flush_epoch) {
+  flush(flush_epoch, kAllThreads, nullptr);
+}
+
+void CoherenceEngine::flush(uint32_t flush_epoch, int thread, std::vector<DiffRecord>* out) {
   // Whole flushes serialize (see flush_mu_ comment), then the drained
   // list is filtered per meta: a releasing thread flushes exactly the
   // twins its access checks touched (twin_writers), keeping siblings'
@@ -87,7 +97,6 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
     twins.swap(interval_twins_);
   }
   std::vector<ObjectId> keep;
-  std::vector<DiffRecord> out;
   for (ObjectId id : twins) {
     auto lk = dir_.lock_shard(id);
     ObjectMeta* m = dir_.find(id);
@@ -97,46 +106,55 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
       continue;
     }
     m->twin_writers = 0;
+    m->twinned = false;
     // The flush clears twinned/twin_writers: a sibling's cached ALB
     // entry must not skip the re-twin on its next access. (The epoch
     // stamp already defeats entries at every sync boundary; this bump
     // closes the window between the epoch advance and this clear.)
     dir_.bump_generation(id);
+    // Diff the mapped copy, or — when the dirty object was swapped out
+    // mid-interval — its disk image in place, without disturbing the DMM.
     const size_t bytes = word_bytes(*m);
-    DiffRecord rec;
+    std::vector<uint8_t> image;
+    uint8_t* data;
+    uint32_t* ts;
+    const uint8_t* twin;
     if (m->map == MapState::kMapped) {
-      rec = compute_twin_diff(id, flush_epoch, {space_.dmm(m->dmm_offset), bytes},
-                              {space_.twin(m->dmm_offset), bytes});
-      m->twinned = false;
-      if (rec.word_idx.empty()) continue;  // read-only access: nothing to do
-      uint32_t* ts = space_.ctrl_words(m->dmm_offset);
-      for (uint32_t wi : rec.word_idx) ts[wi] = flush_epoch;
+      data = space_.dmm(m->dmm_offset);
+      ts = space_.ctrl_words(m->dmm_offset);
+      twin = space_.twin(m->dmm_offset);
     } else {
-      // The dirty object was swapped out mid-interval: diff the disk
-      // image in place, without disturbing the DMM.
       LOTS_CHECK(m->on_disk, "twinned unmapped object lost its disk image");
-      std::vector<uint8_t> image(3 * bytes);
+      image.resize(3 * bytes);
       LOTS_CHECK(disk_.read_object(id, image), "flush: disk image vanished");
-      rec = compute_twin_diff(id, flush_epoch, {image.data(), bytes},
-                              {image.data() + 2 * bytes, bytes});
-      m->twinned = false;
-      auto* ts = reinterpret_cast<uint32_t*>(image.data() + bytes);
+      data = image.data();
+      ts = reinterpret_cast<uint32_t*>(image.data() + bytes);
+      twin = image.data() + 2 * bytes;
+    }
+    // A home's write is committed in its own copy: unless a release
+    // ships it or the ablation broadcasts it, stamping the changed words
+    // is all the flush has to do.
+    const bool home = m->home == self_rank_ && !home_payloads_;
+    DiffRecord rec;
+    size_t changed;
+    if (out || !home) {
+      rec = compute_twin_diff(id, flush_epoch, {data, bytes}, {twin, bytes});
       for (uint32_t wi : rec.word_idx) ts[wi] = flush_epoch;
+      changed = rec.words();
+    } else {
+      changed = stamp_twin_diff(flush_epoch, {data, bytes}, {twin, bytes}, ts);
+    }
+    if (!image.empty()) {
       disk_.write_object(id, std::span<const uint8_t>(image.data(), 2 * bytes));
-      if (rec.word_idx.empty()) continue;
     }
+    if (changed == 0) continue;  // read-only access: nothing to do
     stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
-    // Coalesce into the standing interval record: keep the newest value
-    // and stamp per word instead of appending one record per interval.
-    m->local_writes.push_back(rec);
-    if (m->local_writes.size() > 1) {
-      uint64_t redundant = 0;
-      DiffRecord merged = merge_records(m->local_writes, /*since_epoch=*/0, &redundant);
-      stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-      m->local_writes.clear();
-      m->local_writes.push_back(std::move(merged));
+    if (home) {
+      m->home_written = true;
+    } else {
+      retain(*m, out ? DiffRecord(rec) : std::move(rec));
     }
-    out.push_back(std::move(rec));
+    if (out) out->push_back(std::move(rec));
   }
   if (!keep.empty()) {
     // Back onto the list for their owners' releases (appended after
@@ -144,7 +162,71 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
     std::lock_guard g(twins_mu_);
     interval_twins_.insert(interval_twins_.end(), keep.begin(), keep.end());
   }
-  return out;
+}
+
+void CoherenceEngine::retain(ObjectMeta& m, DiffRecord&& rec) {
+  // Coalesce into the standing interval record: keep the newest value
+  // and stamp per word instead of appending one record per interval.
+  const uint64_t before = m.local_writes.empty() ? 0 : m.local_writes.front().words();
+  m.local_writes.push_back(std::move(rec));
+  if (m.local_writes.size() > 1) {
+    uint64_t redundant = 0;
+    DiffRecord merged = merge_records(m.local_writes, /*since_epoch=*/0, &redundant);
+    stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
+    m.local_writes.clear();
+    m.local_writes.push_back(std::move(merged));
+  }
+  const uint64_t grew = m.local_writes.front().words() - before;  // merging never shrinks
+  const uint64_t now = retained_words_.fetch_add(grew, std::memory_order_relaxed) + grew;
+  uint64_t peak = stats_.diff_words_retained_peak.load(std::memory_order_relaxed);
+  while (now > peak && !stats_.diff_words_retained_peak.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+}
+
+void CoherenceEngine::clear_writes(ObjectMeta& m) {
+  if (!m.local_writes.empty()) {
+    retained_words_.fetch_sub(m.local_writes.front().words(), std::memory_order_relaxed);
+    m.local_writes.clear();
+  }
+  m.home_written = false;
+}
+
+DiffRecord CoherenceEngine::copy_writes(const ObjectMeta& m, uint32_t since_epoch) {
+  const size_t bytes = word_bytes(m);
+  std::vector<uint8_t> image;
+  const uint8_t* data;
+  const uint32_t* ts;
+  if (m.map == MapState::kMapped) {
+    data = committed_image(m);  // a cede may find the home mid-interval
+    ts = space_.ctrl_words(m.dmm_offset);
+  } else {
+    LOTS_CHECK(m.on_disk, "home-written object has no local image");
+    image.resize((m.twinned ? 3 : 2) * bytes);
+    LOTS_CHECK(disk_.read_object(m.id, image), "copy_writes: disk image vanished");
+    data = image.data();
+    ts = reinterpret_cast<const uint32_t*>(image.data() + bytes);
+  }
+  DiffRecord rec;
+  rec.object = m.id;
+  diff_since({data, bytes}, ts, since_epoch, rec.word_idx, rec.word_val, rec.word_ts);
+  for (uint32_t t : rec.word_ts) rec.epoch = std::max(rec.epoch, t);
+  return rec;
+}
+
+DiffRecord CoherenceEngine::barrier_diff(const ObjectMeta& m, uint32_t since_epoch) {
+  if (!m.home_written) return m.local_writes.empty() ? DiffRecord{} : m.local_writes.front();
+  DiffRecord rec = copy_writes(m, since_epoch);
+  if (m.local_writes.empty()) return rec;
+  std::vector<DiffRecord> all{m.local_writes.front(), std::move(rec)};
+  return merge_records(all, /*since_epoch=*/0);
+}
+
+void CoherenceEngine::retain_home_writes(ObjectMeta& m, uint32_t since_epoch) {
+  if (!m.home_written) return;
+  m.home_written = false;
+  DiffRecord rec = copy_writes(m, since_epoch);
+  if (!rec.word_idx.empty()) retain(m, std::move(rec));
 }
 
 std::vector<net::Message> CoherenceEngine::build_diff_batches(

@@ -15,21 +15,19 @@ uint32_t load_word(const uint8_t* p, size_t word) {
 
 void store_word(uint8_t* p, size_t word, uint32_t v) { std::memcpy(p + word * 4, &v, 4); }
 
-}  // namespace
-
-DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
-                             std::span<const uint8_t> twin) {
+/// Calls fn(word index, new value) for every word where `data` differs
+/// from `twin`, ascending. Chunked scan: one memcmp per 16-word block
+/// finds the unequal blocks, then 64-bit lanes narrow to the changed
+/// 32-bit words. Same output as the scalar scan, ~1/16th the compares on
+/// a clean prefix.
+template <typename Fn>
+void for_each_changed_word(std::span<const uint8_t> data, std::span<const uint8_t> twin,
+                           Fn&& fn) {
   LOTS_CHECK_EQ(data.size(), twin.size(), "twin/data size mismatch");
   LOTS_CHECK_EQ(data.size() % 4, 0u, "twin diff needs word-aligned images");
-  DiffRecord rec;
-  rec.object = id;
-  rec.epoch = epoch;
   const size_t words = data.size() / 4;
   const uint8_t* d = data.data();
   const uint8_t* t = twin.data();
-  // Chunked scan: one memcmp per 16-word block finds the unequal blocks,
-  // then 64-bit lanes narrow to the changed 32-bit words. Same output as
-  // the scalar scan, ~1/16th the compares on a clean prefix.
   constexpr size_t kBlockWords = 16;
   size_t wi = 0;
   while (wi < words) {
@@ -46,27 +44,41 @@ DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_
       if (dl != tl) {
         const auto lo_d = static_cast<uint32_t>(dl);
         const auto hi_d = static_cast<uint32_t>(dl >> 32);
-        if (lo_d != static_cast<uint32_t>(tl)) {
-          rec.word_idx.push_back(static_cast<uint32_t>(wi));
-          rec.word_val.push_back(lo_d);
-        }
-        if (hi_d != static_cast<uint32_t>(tl >> 32)) {
-          rec.word_idx.push_back(static_cast<uint32_t>(wi + 1));
-          rec.word_val.push_back(hi_d);
-        }
+        if (lo_d != static_cast<uint32_t>(tl)) fn(static_cast<uint32_t>(wi), lo_d);
+        if (hi_d != static_cast<uint32_t>(tl >> 32)) fn(static_cast<uint32_t>(wi + 1), hi_d);
       }
       wi += 2;
     }
     if (wi < end) {
       const uint32_t dv = load_word(d, wi);
-      if (dv != load_word(t, wi)) {
-        rec.word_idx.push_back(static_cast<uint32_t>(wi));
-        rec.word_val.push_back(dv);
-      }
+      if (dv != load_word(t, wi)) fn(static_cast<uint32_t>(wi), dv);
       ++wi;
     }
   }
+}
+
+}  // namespace
+
+DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
+                             std::span<const uint8_t> twin) {
+  DiffRecord rec;
+  rec.object = id;
+  rec.epoch = epoch;
+  for_each_changed_word(data, twin, [&](uint32_t wi, uint32_t v) {
+    rec.word_idx.push_back(wi);
+    rec.word_val.push_back(v);
+  });
   return rec;
+}
+
+size_t stamp_twin_diff(uint32_t epoch, std::span<const uint8_t> data,
+                       std::span<const uint8_t> twin, uint32_t* word_ts) {
+  size_t changed = 0;
+  for_each_changed_word(data, twin, [&](uint32_t wi, uint32_t) {
+    word_ts[wi] = epoch;
+    ++changed;
+  });
+  return changed;
 }
 
 size_t apply_record(const DiffRecord& rec, uint8_t* data, uint32_t* word_ts) {

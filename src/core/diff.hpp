@@ -36,6 +36,13 @@ namespace lots::core {
 DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
                              std::span<const uint8_t> twin);
 
+/// The same comparison without building a record: stamps word_ts[i] =
+/// `epoch` for every changed word i and returns how many changed. A
+/// home's barrier flush commits its writes this way — the stamps are
+/// the writes' whole record, no payload is kept.
+size_t stamp_twin_diff(uint32_t epoch, std::span<const uint8_t> data,
+                       std::span<const uint8_t> twin, uint32_t* word_ts);
+
 /// Applies `rec` onto (data, word_ts): a word is written only when the
 /// record's epoch is newer than the word's current stamp, so replayed or
 /// out-of-date diffs are harmless. Returns the number of words applied.

@@ -502,13 +502,14 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
                               net::Writer& w) {
   const size_t bytes = word_bytes(obj);
   // Materialize the home copy for reading without disturbing the DMM
-  // mapping state: mapped -> direct pointers; on disk -> scratch image;
-  // never touched -> zeros.
+  // mapping state: mapped -> direct pointers (the committed image: the
+  // twin while the local application may be writing); on disk
+  // -> scratch image; never touched -> zeros.
   std::vector<uint8_t> scratch;
   const uint8_t* data;
   const uint32_t* ts;
   if (obj.map == MapState::kMapped) {
-    data = node_.space_.dmm(obj.dmm_offset);
+    data = node_.coherence_.committed_image(obj);
     ts = node_.space_.ctrl_words(obj.dmm_offset);
   } else if (obj.on_disk) {
     scratch.resize((obj.twinned ? 3 : 2) * bytes);
@@ -586,7 +587,8 @@ void FetchEngine::serve(net::Message&& m) {
     // Zero-copy fast path: a plain full-copy reply (no diff base, no
     // prefetch wish) of a DMM-mapped object goes from the object image
     // to the wire without an intermediate payload copy — the form-0
-    // header is encoded normally and the image rides as a borrowed
+    // header is encoded normally and the committed image (the twin
+    // while the local application may be writing) rides as a borrowed
     // span. Replying under the shard lock is safe (and required: the
     // span points into the DMM): the transport copies the span into its
     // window-retained datagram buffers before returning, and datagram
@@ -598,7 +600,7 @@ void FetchEngine::serve(net::Message&& m) {
       w.u8(0);
       w.u32(obj.valid_epoch);
       w.u32(static_cast<uint32_t>(bytes));  // w.bytes()'s length prefix
-      resp.borrowed = {node_.space_.dmm(obj.dmm_offset), bytes};
+      resp.borrowed = {node_.coherence_.committed_image(obj), bytes};
       node_.ep_.reply(m, std::move(resp));
       return;
     }

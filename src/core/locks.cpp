@@ -214,11 +214,14 @@ void Node::acquire(uint32_t lock_id) {
             // says the hinted node committed AS home beyond our cut —
             // it adopted in a handoff we proposed (or one that chased
             // past us). Cede: flip the pointer, drop the pre-commit
-            // copy, and treat the notice as the handoff ack.
+            // copy, and treat the notice as the handoff ack. Our writes
+            // as home had no payload; retain them while the copy is
+            // still intact.
             if (home_debug()) {
               fprintf(stderr, "[home r%d] cede obj=%u self->%d (e=%u cut=%u mig=%d)\n", rank_,
                       rec.object, rec.home_hint, rec.epoch, m->valid_epoch, (int)m->migrating);
             }
+            coherence_.retain_home_writes(*m, last_barrier_epoch_.load());
             m->home = rec.home_hint;
             m->migrating = false;
             dir_.bump_generation(rec.object);
@@ -760,6 +763,7 @@ void Node::on_home_migrate_ack(net::Message&& m) {
             (int)accepted, meta->home);
   }
   if (accepted && meta->home == rank_ && adopted_by >= 0 && adopted_by != rank_) {
+    coherence_.retain_home_writes(*meta, last_barrier_epoch_.load());
     meta->home = adopted_by;
     dir_.bump_generation(id);  // home write: defeat stale ALB entries
   }

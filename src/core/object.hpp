@@ -162,11 +162,20 @@ struct ObjectMeta {
   std::atomic<uint64_t> access_stamp{0};
   uint32_t valid_epoch = 0;   ///< copy is complete up to this sync epoch
 
-  /// Local writes since the last barrier (pruned there). Kept coalesced:
-  /// flush merges each interval's record into the existing one (newest
-  /// per-word stamp wins), so a long lock-heavy interval sequence costs
-  /// O(object words), not O(intervals).
+  /// Local writes since the last barrier (pruned there), made while this
+  /// node was NOT the object's home. Kept coalesced: flush merges each
+  /// interval's record into the existing one (newest per-word stamp
+  /// wins), so a long lock-heavy interval sequence costs O(object
+  /// words), not O(intervals).
   std::vector<DiffRecord> local_writes;
+  /// Written since the last barrier while this node WAS the home. Such
+  /// writes keep no payload: the copy's per-word stamps are their only
+  /// record ("only a trace of control information"), and a barrier plan
+  /// naming another home rebuilds the diff from the copy on demand. Set
+  /// only while home; a mid-interval cede turns it back into a
+  /// local_writes payload. Cleared together with local_writes
+  /// (CoherenceEngine::clear_writes).
+  bool home_written = false;
   /// Updates received while unmapped; applied on the next map-in.
   std::vector<DiffRecord> pending;
 

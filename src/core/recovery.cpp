@@ -492,7 +492,7 @@ void Node::repair_objects_after_death(int dead, int holder) {
         m.twinned = false;
         m.twin_writers = 0;
         m.pending.clear();
-        m.local_writes.clear();
+        coherence_.clear_writes(m);
         m.replica_marks.clear();  // full-ship to OUR successors next barrier
         stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
         if (have) {
@@ -521,7 +521,7 @@ void Node::repair_objects_after_death(int dead, int holder) {
         m.twinned = false;
         m.twin_writers = 0;
         m.pending.clear();
-        m.local_writes.clear();
+        coherence_.clear_writes(m);
         m.replica_marks.clear();
         // We may hold a replica of this object from the dead home's
         // fan-out. KEEP it: it sits exactly at the recovery cut — the
@@ -635,8 +635,7 @@ void Node::maybe_release_recover(std::unique_lock<std::mutex>& lk) {
   master_.max_epoch = 0;
   master_.enter_reqs.clear();
   master_.done_reqs.clear();
-  master_.writers.clear();
-  master_.old_homes.clear();
+  master_.mods.clear();
   master_.run_arrived = 0;
   master_.run_reqs.clear();
   master_.in_barrier.clear();

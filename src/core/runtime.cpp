@@ -206,7 +206,8 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
       disk_(std::make_unique<storage::DiskStore>(rt.config().disk_dir, rank, rt.config().disk,
                                                  &stats_)),
       dir_(rt.config().dir_shards),
-      coherence_(dir_, space_, *disk_, stats_),
+      coherence_(dir_, space_, *disk_, stats_, rank,
+                 rt.config().protocol == ProtocolMode::kWriteUpdateOnly),
       fetch_(*this),
       group_(rt.config().threads_per_node),
       stmt_pins_(static_cast<size_t>(rt.config().threads_per_node)),

@@ -275,8 +275,16 @@ class Node {
     uint32_t max_epoch = 0;
     std::vector<net::Message> enter_reqs;
     std::vector<net::Message> done_reqs;
-    std::unordered_map<ObjectId, std::vector<int32_t>> writers;
-    std::unordered_map<ObjectId, int32_t> old_homes;
+    /// One modified object as the entrants reported it.
+    struct Mod {
+      std::vector<int32_t> writers;
+      int32_t claim = -1;  ///< lowest writer whose own view names itself the home
+      int32_t view = -1;   ///< lowest home any writer's view names
+      /// The merge arbiter: a writer that claims the home, else the
+      /// writers' view — never a default the entrants did not name.
+      [[nodiscard]] int32_t old_home() const { return claim >= 0 ? claim : view; }
+    };
+    std::unordered_map<ObjectId, Mod> mods;
     uint32_t run_arrived = 0;
     std::vector<net::Message> run_reqs;
     /// Ranks currently inside the two-phase barrier protocol (entered,
@@ -507,7 +515,10 @@ class Node {
   /// its own acquire/release; the barrier's store runs with all app
   /// threads quiescent in the collective.
   std::atomic<uint32_t> epoch_{1};
-  uint32_t last_barrier_epoch_ = 0;  ///< barrier-leader only
+  /// The epoch the last barrier completed at: every word stamped later
+  /// was written since it. Written by the barrier leader; atomic because
+  /// a service-thread cede (on_home_migrate_ack) reads it too.
+  std::atomic<uint32_t> last_barrier_epoch_{0};
   /// Barrier generation: bumped once per barrier (apply_barrier_plan).
   /// kHomeMigrate/kHomeMigrateAck messages are stamped with the sender's
   /// generation and dropped on mismatch, so a lock-driven handoff can

@@ -77,6 +77,38 @@ TEST(Coherence, MultiWriterMergesAtHome) {
   });
 }
 
+TEST(Coherence, MergeArbiterIsTheWritersHomeWhenMasterHasNotAllocated) {
+  // alloc_object is node-local: a rank can alloc, write and enter the
+  // barrier before the master's own app thread has created the id. Here
+  // the master allocates only AFTER the barrier (the id sequence still
+  // matches), so the master has no directory entry when it plans. The
+  // merge arbiter must come from the writers' home views — the home
+  // writer (rank 1) — never from a default rank 0.
+  Runtime rt(cfg(3));
+  rt.run([](int rank) {
+    Pointer<int> a;
+    if (rank != 0) {
+      a.alloc(128);
+      ASSERT_EQ(Runtime::self().home_of(a.id()), 1);  // round-robin: id 1 -> rank 1
+      const int lo = rank == 1 ? 0 : 64;
+      for (int i = lo; i < lo + 64; ++i) a[i] = rank * 1000 + i;
+    }
+    lots::barrier();
+    if (rank == 0) {
+      // Late, so no plan ever invalidated this fresh copy: it must not
+      // read the writers' data, only keep the id sequence in step.
+      a.alloc(128);
+    } else {
+      EXPECT_EQ(Runtime::self().home_of(a.id()), 1) << "home moved on rank " << rank;
+      for (int i = 0; i < 64; ++i) EXPECT_EQ(a[i], 1000 + i);
+      for (int i = 64; i < 128; ++i) EXPECT_EQ(a[i], 2000 + i);
+    }
+    lots::barrier();
+    // The home writer committed in place: no fallback diff was needed.
+    EXPECT_EQ(Runtime::self().stats().barrier_fallback_diffs.load(), 0u);
+  });
+}
+
 TEST(Coherence, ScopeConsistencyFig5Semantics) {
   // Paper Fig. 5: updates inside a critical section become visible to
   // the next acquirer of the same lock.

@@ -19,9 +19,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/bootstrap.hpp"
@@ -356,6 +358,55 @@ TEST(FetchEngine, BarrierRevalidateRewarmsInvalidatedMappedSet) {
 // Real processes, lossy UDP: drop + reorder + duplication underneath the
 // pipelined window and the kObjDataN piggyback.
 // ---------------------------------------------------------------------------
+
+TEST(FetchEngine, HomeServesTheCommittedTwinWhileItsAppThreadWrites) {
+  // The home's app thread rewrites its objects through lock-free ALB
+  // hits while a peer fetches them. The service thread must serve the
+  // twin (the committed image, written only under the shard lock), not
+  // the DMM data being written: under ThreadSanitizer the DMM read is a
+  // data race, and in any build the peer must see the committed values.
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 4u << 20;
+  Runtime rt(c);
+  constexpr int kObjs = 32;
+  constexpr int kInts = 256;
+  std::atomic<bool> twinned{false};
+  std::atomic<bool> fetched{false};
+  rt.run([&](int rank) {
+    std::vector<Pointer<int>> objs(kObjs);
+    for (auto& o : objs) o.alloc(kInts);
+    if (rank == 1) {  // single writer: every home migrates to rank 1
+      for (auto& o : objs) {
+        for (int i = 0; i < kInts; ++i) o[static_cast<size_t>(i)] = 1;
+      }
+    }
+    lots::barrier();
+    if (rank == 1) {
+      for (auto& o : objs) o[0] = 2;  // twin each object (locked path)
+      twinned.store(true);
+      while (!fetched.load()) {  // ALB hits only, no shard lock
+        for (auto& o : objs) {
+          for (int i = 0; i < kInts; ++i) o[static_cast<size_t>(i)] = 2;
+        }
+      }
+    } else {
+      while (!twinned.load()) std::this_thread::yield();
+      int uncommitted = 0;  // counted, not asserted: the writer must be let go
+      for (auto& o : objs) {
+        EXPECT_EQ(Runtime::self().home_of(o.id()), 1);
+        for (int i = 0; i < kInts; ++i) uncommitted += o[static_cast<size_t>(i)] != 1;
+      }
+      fetched.store(true);
+      EXPECT_EQ(uncommitted, 0) << "the peer saw words of the home's open interval";
+    }
+    lots::barrier();
+    for (auto& o : objs) {
+      for (int i = 0; i < kInts; ++i) ASSERT_EQ(o[static_cast<size_t>(i)], 2);
+    }
+    lots::barrier();
+  });
+}
 
 TEST(FetchEngine, PipelinedScanSurvivesLossyUdpBitIdentical) {
   constexpr int kProcs = 2;

@@ -124,5 +124,137 @@ TEST(LargeSpace, SwappedObjectsKeepWordTimestamps) {
   });
 }
 
+// --- barrier footprint: what a barrier retains between flush and plan ---
+
+TEST(LargeSpace, HomeWritesSwappedOutMidIntervalRetainNoPayload) {
+  // Every row is written by its home and the rows overflow the window,
+  // so most are swapped out twinned mid-interval and flushed from their
+  // disk images. A home's write is committed in its copy: the barrier
+  // must keep no diff payload for it — only the stamps.
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 1u << 20;
+  Runtime rt(c);
+  constexpr int kRows = 64;
+  constexpr int kInts = 16 * 1024;  // 64 KB rows: 2 MB homed per rank vs a 1 MB window
+  rt.run([&](int rank) {
+    std::vector<Pointer<int>> rows(kRows);
+    for (auto& r : rows) r.alloc(kInts);
+    for (int k = 0; k < kRows; ++k) {
+      auto& row = rows[static_cast<size_t>(k)];
+      if (Runtime::self().home_of(row.id()) != rank) continue;
+      for (int i = 0; i < kInts; ++i) row[static_cast<size_t>(i)] = k * kInts + i;
+    }
+    lots::barrier();
+    NodeStats& st = Runtime::self().stats();
+    EXPECT_GT(st.swap_outs.load(), 0u) << "rows must be swapped out mid-interval";
+    EXPECT_GT(st.diffs_created.load(), 0u);
+    EXPECT_EQ(st.diff_words_retained_peak.load(), 0u) << "home writes kept a payload";
+    EXPECT_EQ(st.diff_words_sent.load(), 0u);
+    EXPECT_EQ(st.barrier_fallback_diffs.load(), 0u);
+    // The stamps alone publish the writes: every rank reads every row.
+    for (int k = 0; k < kRows; ++k) {
+      for (int i = 0; i < kInts; i += 97) {
+        ASSERT_EQ(rows[static_cast<size_t>(k)][static_cast<size_t>(i)], k * kInts + i);
+      }
+    }
+    lots::barrier();
+  });
+}
+
+TEST(LargeSpace, NonHomeMultiWriterShipsTheMergedDiff) {
+  // Two non-home writers of one object: each keeps its payload and
+  // ships exactly its merged diff (the union of its lock intervals'
+  // words) to the unchanged home.
+  Config c;
+  c.nprocs = 3;
+  c.dmm_bytes = 1u << 20;
+  Runtime rt(c);
+  constexpr int kInts = 1024;
+  rt.run([&](int rank) {
+    Pointer<int> a;
+    a.alloc(kInts);
+    ASSERT_EQ(Runtime::self().home_of(a.id()), 1);  // id 1 -> rank 1
+    if (rank == 0) {
+      // Two overlapping lock intervals, coalesced into one record.
+      lots::acquire(7);
+      for (int i = 0; i < 300; ++i) a[static_cast<size_t>(i)] = -i - 1;
+      lots::release(7);
+      lots::acquire(7);
+      for (int i = 200; i < 512; ++i) a[static_cast<size_t>(i)] = i;
+      lots::release(7);
+    } else if (rank == 2) {
+      for (int i = 512; i < kInts; ++i) a[static_cast<size_t>(i)] = 2 * i;
+    }
+    NodeStats& st = Runtime::self().stats();
+    const uint64_t sent_before = st.diff_words_sent.load();
+    lots::barrier();
+    const uint64_t shipped = st.diff_words_sent.load() - sent_before;
+    if (rank == 1) {
+      EXPECT_EQ(shipped, 0u);
+      EXPECT_EQ(st.diff_words_retained_peak.load(), 0u);
+    } else {
+      EXPECT_EQ(shipped, 512u) << "rank " << rank;
+      EXPECT_EQ(st.diff_words_retained_peak.load(), 512u) << "rank " << rank;
+    }
+    EXPECT_EQ(Runtime::self().home_of(a.id()), 1);
+    for (int i = 0; i < 200; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], -i - 1);
+    for (int i = 200; i < 512; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], i);
+    for (int i = 512; i < kInts; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], 2 * i);
+    lots::barrier();
+  });
+}
+
+struct StaleHomeRun {
+  std::vector<uint64_t> digests;  ///< per rank, over the object after the barrier
+  uint64_t fallbacks = 0;         ///< barrier_fallback_diffs, summed over ranks
+  int32_t home = -1;              ///< rank 0's home view after the barrier
+};
+
+/// Two writers of one object homed at rank 1. With `stale`, rank 0 is
+/// told it is the home too, so both claim it; the plan picks rank 0, and
+/// the real home — which kept no payload and whose copy sits on disk —
+/// must rebuild its diff from the copy's stamps.
+StaleHomeRun run_two_home_writers(bool stale) {
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 1u << 20;
+  Runtime rt(c);
+  constexpr int kInts = 16 * 1024;
+  StaleHomeRun out;
+  out.digests.assign(2, 0);
+  rt.run([&](int rank) {
+    Pointer<int> a;
+    a.alloc(kInts);
+    lots::barrier();
+    if (stale && rank == 0) Runtime::self().set_home_for_test(a.id(), 0);
+    const int lo = rank == 1 ? 0 : kInts / 2;
+    for (int i = lo; i < lo + kInts / 2; i += 3) a[static_cast<size_t>(i)] = 7 * i + rank;
+    if (rank == 1) Runtime::self().force_swap_out(a.id());  // flush + fallback read disk
+    lots::barrier();
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (int i = 0; i < kInts; ++i) {
+      h = (h ^ static_cast<uint32_t>(a[static_cast<size_t>(i)])) * 0x100000001B3ull;
+    }
+    out.digests[static_cast<size_t>(rank)] = h;
+    if (rank == 0) out.home = Runtime::self().home_of(a.id());
+    lots::barrier();
+  });
+  for (int r = 0; r < 2; ++r) out.fallbacks += rt.node(r).stats().barrier_fallback_diffs.load();
+  return out;
+}
+
+TEST(LargeSpace, StaleHomePlanRebuildsTheHomeWritersDiffFromItsCopy) {
+  const StaleHomeRun ref = run_two_home_writers(/*stale=*/false);
+  const StaleHomeRun forced = run_two_home_writers(/*stale=*/true);
+  EXPECT_EQ(ref.fallbacks, 0u);
+  EXPECT_EQ(ref.home, 1);
+  EXPECT_EQ(forced.fallbacks, 1u) << "the real home must rebuild its diff on demand";
+  EXPECT_EQ(forced.home, 0) << "both ranks claimed home: the lowest claim arbitrates";
+  EXPECT_EQ(ref.digests[0], ref.digests[1]);
+  EXPECT_EQ(forced.digests[0], ref.digests[0]);
+  EXPECT_EQ(forced.digests[1], ref.digests[0]);
+}
+
 }  // namespace
 }  // namespace lots::core
