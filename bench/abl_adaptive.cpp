@@ -1,5 +1,5 @@
 // §5 ablation — the adaptive coherence protocol (future work in the
-// paper, implemented here): ping-pong home damping + dense diff runs.
+// paper, implemented here): ping-pong home damping.
 //
 // RX is the paper's own motivating case: "migrating the home to the
 // latest writer during the barrier gives little benefits, since the
@@ -31,7 +31,7 @@ int main() {
                   (jia.ok && mixed.ok && adapt.ok) ? "" : "!! VERIFY FAILED");
     }
   }
-  std::printf("\nexpectation: adaptive <= mixed on RX (damped ping-pong homes + dense\n"
-              "diff runs), closing the gap the paper reports at p=8.\n");
+  std::printf("\nexpectation: adaptive <= mixed on RX (damped ping-pong homes), closing\n"
+              "the gap the paper reports at p=8.\n");
   return 0;
 }

@@ -105,10 +105,6 @@ bool configure_fastpath_from_env(Config& cfg) {
     cfg.alb_size = static_cast<size_t>(env_int(kEnvAlbSize, s, 2, 1 << 20));
     any = true;
   }
-  if (const char* s = std::getenv(kEnvDiffRle); s && *s) {
-    cfg.diff_rle = std::string(s) != "0";
-    any = true;
-  }
   return any;
 }
 

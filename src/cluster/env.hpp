@@ -34,13 +34,11 @@ inline constexpr const char* kEnvPrefetch = "LOTS_PREFETCH";
 /// non-empty value other than "0" enables it.
 inline constexpr const char* kEnvBarrierReval = "LOTS_BARRIER_REVALIDATE";
 /// Fast-path knobs (fabric-independent): the per-thread access
-/// lookaside buffer (Config::alb — "0" disables, anything else enables),
-/// its per-thread entry count (Config::alb_size, power of two), and the
-/// run-length diff wire encoding (Config::diff_rle — "0" disables), e.g.
-/// `LOTS_ALB=0 LOTS_DIFF_RLE=0 ./bench_abl_fastpath`.
+/// lookaside buffer (Config::alb — "0" disables, anything else enables)
+/// and its per-thread entry count (Config::alb_size, power of two), e.g.
+/// `LOTS_ALB=0 ./bench_abl_fastpath`.
 inline constexpr const char* kEnvAlb = "LOTS_ALB";
 inline constexpr const char* kEnvAlbSize = "LOTS_ALB_SIZE";
-inline constexpr const char* kEnvDiffRle = "LOTS_DIFF_RLE";
 /// Adaptive-migration knobs (fabric-independent): lock-release-driven
 /// home migration (Config::lock_migration — any non-empty value other
 /// than "0" enables) and its dominance threshold in consecutive
@@ -111,8 +109,8 @@ bool configure_threads_from_env(Config& cfg);
 /// of them was present.
 bool configure_fetch_from_env(Config& cfg);
 
-/// Applies LOTS_ALB / LOTS_ALB_SIZE / LOTS_DIFF_RLE to the access
-/// fast-path knobs (any fabric). Returns true when any was present.
+/// Applies LOTS_ALB / LOTS_ALB_SIZE to the access fast-path knobs (any
+/// fabric). Returns true when any was present.
 bool configure_fastpath_from_env(Config& cfg);
 
 /// Applies LOTS_MIGRATE / LOTS_MIGRATE_K to the adaptive-migration

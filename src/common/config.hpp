@@ -21,11 +21,9 @@ enum class ProtocolMode : uint8_t {
   kWriteUpdateOnly,     ///< homeless write-update at locks AND barriers
   kWriteInvalidateOnly, ///< migrating-home write-invalidate everywhere
   /// Paper §5 future work, implemented here: the mixed protocol plus
-  /// (a) home-migration damping — the barrier master tracks each
-  /// object's recent writers and stops migrating homes that ping-pong
-  /// between two nodes (the RX pathology), and (b) dense diff encoding —
-  /// contiguous diff runs are shipped as raw value ranges (4 B/word)
-  /// instead of (index,value) pairs (8 B/word).
+  /// home-migration damping — the barrier master tracks each object's
+  /// recent writers and stops migrating homes that ping-pong between
+  /// two nodes (the RX pathology).
   kAdaptive,
 };
 
@@ -209,12 +207,6 @@ struct Config {
   bool alb = true;
   /// ALB entries per app thread. Must be a power of two.
   size_t alb_size = 64;
-  /// Run-length diff wire encoding (diff format v2): contiguous index
-  /// runs ship as (start, count, packed values) with a shared stamp when
-  /// the run carries one epoch, instead of per-word idx/val/ts triples.
-  /// Decoders accept both formats regardless; this gates the encoders
-  /// (kObjData/kObjDataN word diffs and kDiffBatch/kLockGrant records).
-  bool diff_rle = true;
 
   // -- Async fetch engine (src/core/fetch.hpp) ----------------------------
   /// Max outstanding kObjFetch requests in the pipelined paths

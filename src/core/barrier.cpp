@@ -107,7 +107,6 @@ void Node::barrier_leader() {
 
   // ---- phase 2: deliver diffs, one batch message per peer ----
   const bool write_update_everywhere = rt_.config().protocol == ProtocolMode::kWriteUpdateOnly;
-  const bool dense_ok = rt_.config().protocol == ProtocolMode::kAdaptive;
   std::vector<net::Message> outs;
   std::map<int32_t, std::vector<DiffRecord>> by_peer;
   if (write_update_everywhere) {
@@ -123,8 +122,7 @@ void Node::barrier_leader() {
       if (!rec.word_idx.empty()) merged.push_back(std::move(rec));
     }
     stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-    outs = CoherenceEngine::build_broadcast_batches(merged, nprocs(), rank_, dense_ok,
-                                                    rt_.config().diff_rle, stats_);
+    outs = CoherenceEngine::build_broadcast_batches(merged, nprocs(), rank_, stats_);
   } else {
     // Mixed / write-invalidate: diffs flow to the (possibly migrated)
     // home, and only for multi-writer objects — a single writer becomes
@@ -141,8 +139,7 @@ void Node::barrier_leader() {
       DiffRecord rec = coherence_.barrier_diff(*m, last_barrier_epoch_.load());
       if (!rec.word_idx.empty()) by_peer[e.new_home].push_back(std::move(rec));
     }
-    outs = CoherenceEngine::build_diff_batches(by_peer, dense_ok, rt_.config().diff_rle,
-                                               stats_);
+    outs = CoherenceEngine::build_diff_batches(by_peer, stats_);
   }
   for (auto& msg : outs) ep_.request(std::move(msg));  // acked delivery
 

@@ -4,6 +4,26 @@
 #include <cstring>
 
 namespace lots::core {
+namespace {
+
+/// Applies `rec` to a copy's data and stamps and, when `twin` is set,
+/// mirrors the accepted words into it so the next flush diffs only this
+/// node's own writes. A word was accepted exactly when its stamp now
+/// equals the record's. Returns the number of words applied.
+size_t apply_mirrored(const DiffRecord& rec, uint8_t* data, uint32_t* ts, uint8_t* twin) {
+  const size_t applied = apply_record(rec, data, ts);
+  if (twin && applied) {
+    for (size_t i = 0; i < rec.word_idx.size(); ++i) {
+      const uint32_t wi = rec.word_idx[i];
+      if (ts[wi] == rec.ts_of(i)) {
+        std::memcpy(twin + static_cast<size_t>(wi) * 4, &rec.word_val[i], 4);
+      }
+    }
+  }
+  return applied;
+}
+
+}  // namespace
 
 void CoherenceEngine::ensure_twin(ObjectMeta& m, int thread) {
   LOTS_CHECK(m.map == MapState::kMapped, "ensure_twin: not mapped");
@@ -29,22 +49,10 @@ void CoherenceEngine::apply_pending(ObjectMeta& m) {
 
 void CoherenceEngine::apply_incoming(ObjectMeta& m, const DiffRecord& rec) {
   LOTS_CHECK(m.map == MapState::kMapped, "apply_incoming: not mapped");
-  uint8_t* data = space_.dmm(m.dmm_offset);
-  uint32_t* ts = space_.ctrl_words(m.dmm_offset);
-  const size_t applied = apply_record(rec, data, ts);
+  const size_t applied =
+      apply_mirrored(rec, space_.dmm(m.dmm_offset), space_.ctrl_words(m.dmm_offset),
+                     m.twinned ? space_.twin(m.dmm_offset) : nullptr);
   stats_.diff_words_redundant.fetch_add(rec.words() - applied, std::memory_order_relaxed);
-  if (m.twinned && applied) {
-    // Mirror the accepted words into the twin so the next flush diffs
-    // only this node's own writes. A word was accepted exactly when its
-    // stamp now equals the record's epoch.
-    uint8_t* twin = space_.twin(m.dmm_offset);
-    for (size_t i = 0; i < rec.word_idx.size(); ++i) {
-      const uint32_t wi = rec.word_idx[i];
-      if (ts[wi] == rec.ts_of(i)) {
-        std::memcpy(twin + static_cast<size_t>(wi) * 4, &rec.word_val[i], 4);
-      }
-    }
-  }
 }
 
 void CoherenceEngine::apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t self_rank) {
@@ -55,7 +63,10 @@ void CoherenceEngine::apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t se
   } else if (m.on_disk) {
     std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
     LOTS_CHECK(disk_.read_object(rec.object, image), "diff target image vanished");
-    apply_record(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes));
+    // A twinned image (swapped out mid-interval) keeps its twin at
+    // +2*bytes: mirror into it exactly as a mapped copy does.
+    apply_mirrored(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes),
+                   m.twinned ? image.data() + 2 * bytes : nullptr);
     disk_.write_object(rec.object, image);
   } else if (m.home == self_rank) {
     // The home must materialize the master copy even if it never
@@ -230,8 +241,7 @@ void CoherenceEngine::retain_home_writes(ObjectMeta& m, uint32_t since_epoch) {
 }
 
 std::vector<net::Message> CoherenceEngine::build_diff_batches(
-    const std::map<int32_t, std::vector<DiffRecord>>& by_peer, bool allow_dense,
-    bool allow_rle, NodeStats& stats) {
+    const std::map<int32_t, std::vector<DiffRecord>>& by_peer, NodeStats& stats) {
   std::vector<net::Message> msgs;
   msgs.reserve(by_peer.size());
   for (const auto& [peer, group] : by_peer) {
@@ -244,7 +254,7 @@ std::vector<net::Message> CoherenceEngine::build_diff_batches(
     uint64_t saved = 0;
     const size_t before = msg.payload.size();
     for (const DiffRecord& rec : group) {
-      saved += encode_record(w, rec, allow_dense, allow_rle);
+      saved += encode_record(w, rec);
       stats.diff_words_sent.fetch_add(rec.words(), std::memory_order_relaxed);
     }
     stats.diff_payload_bytes.fetch_add(msg.payload.size() - before,
@@ -258,8 +268,7 @@ std::vector<net::Message> CoherenceEngine::build_diff_batches(
 }
 
 std::vector<net::Message> CoherenceEngine::build_broadcast_batches(
-    std::span<const DiffRecord> records, int nprocs, int self_rank, bool allow_dense,
-    bool allow_rle, NodeStats& stats) {
+    std::span<const DiffRecord> records, int nprocs, int self_rank, NodeStats& stats) {
   std::vector<net::Message> msgs;
   if (records.empty() || nprocs <= 1) return msgs;
   std::vector<uint8_t> payload;
@@ -269,7 +278,7 @@ std::vector<net::Message> CoherenceEngine::build_broadcast_batches(
   uint64_t saved = 0;
   const size_t before = payload.size();
   for (const DiffRecord& rec : records) {
-    saved += encode_record(w, rec, allow_dense, allow_rle);
+    saved += encode_record(w, rec);
     words += rec.words();
   }
   const uint64_t payload_bytes = payload.size() - before;

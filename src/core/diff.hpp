@@ -64,37 +64,22 @@ void diff_since(std::span<const uint8_t> data, const uint32_t* word_ts, uint32_t
 
 // --- wire encoding -------------------------------------------------------
 //
-// Format v2 (run-length encoding, Config::diff_rle): both codecs below
-// can ship contiguous index runs as (start, count, packed values) with a
-// shared stamp when every word of the run carries one epoch, falling
-// back to per-word stamps inside a run and to the flat form for sparse
-// shapes. Encoders CHOOSE the smaller encoding and report the bytes
-// saved; decoders understand every form unconditionally (the leading
-// form/tag byte is the version), so mixed call sites always interoperate.
+// One codec serves records and word diffs. A diff body is either flat
+// (count, indices, values [, stamps]) or a list of contiguous index runs
+// (start, count, stamp mode, packed values [, stamps]); the encoder ships
+// whichever is smaller and reports the bytes saved against the flat form.
+// A run's stamps are one shared u32 when every word carries the same
+// epoch, else one per word. A record adds its (object, epoch) header and
+// may let that epoch stamp its words; a word diff always carries stamps.
 
-/// Encodes one record (with a single epoch stamp for all words).
-/// With `allow_dense` (adaptive protocol, paper §5 "sending the whole
-/// object verses partial diffs"), a record whose words form one
-/// contiguous run is shipped as (start, count, raw values) at 4 B/word
-/// instead of (index, value) pairs at 8 B/word. Only exact runs qualify:
-/// padding with unchanged words would clobber concurrent writers.
-/// With `allow_rle` (format v2), MULTI-run records ship as run headers
-/// too, each run with a record-epoch / shared / per-word stamp mode.
-/// Returns the bytes saved versus the legacy encoding (0 when the
-/// legacy form was emitted).
-size_t encode_record(net::Writer& w, const DiffRecord& rec, bool allow_dense = false,
-                     bool allow_rle = false);
+/// Encodes one record. Returns the bytes saved versus the flat form.
+size_t encode_record(net::Writer& w, const DiffRecord& rec);
 DiffRecord decode_record(net::Reader& r);
-/// True when the record's words form one contiguous ascending run.
-bool is_contiguous_run(const DiffRecord& rec);
 
-/// Encodes a merged diff with per-word stamps. Flat form: idx/val/ts
-/// triples at 12 B/word. With `allow_rle`, contiguous runs ship as
-/// (start, count, [shared ts | per-word ts], values) when that is
-/// smaller. Returns the bytes saved versus the flat form.
+/// Encodes a merged diff with per-word stamps. Returns the bytes saved
+/// versus the flat form (idx/val/ts triples at 12 B/word).
 size_t encode_word_diff(net::Writer& w, std::span<const uint32_t> idx,
-                        std::span<const uint32_t> val, std::span<const uint32_t> ts,
-                        bool allow_rle = false);
+                        std::span<const uint32_t> val, std::span<const uint32_t> ts);
 void decode_word_diff(net::Reader& r, std::vector<uint32_t>& idx, std::vector<uint32_t>& val,
                       std::vector<uint32_t>& ts);
 

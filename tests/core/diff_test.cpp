@@ -95,42 +95,17 @@ TEST(Diff, RecordWireRoundTrip) {
   EXPECT_EQ(out.word_val, rec.word_val);
 }
 
-TEST(Diff, DenseEncodingRoundTrip) {
-  // Contiguous run -> dense form (4 B/word) when allowed.
-  DiffRecord rec{5, 9, {10, 11, 12, 13, 14}, {1, 2, 3, 4, 5}};
-  std::vector<uint8_t> dense, sparse;
-  net::Writer wd(dense), ws(sparse);
-  encode_record(wd, rec, /*allow_dense=*/true);
-  encode_record(ws, rec, /*allow_dense=*/false);
-  EXPECT_LT(dense.size(), sparse.size());
-  net::Reader rd(dense), rs(sparse);
-  const DiffRecord d = decode_record(rd);
-  const DiffRecord s = decode_record(rs);
-  EXPECT_EQ(d.word_idx, rec.word_idx);
-  EXPECT_EQ(d.word_val, rec.word_val);
-  EXPECT_EQ(s.word_idx, rec.word_idx);
-  EXPECT_EQ(d.epoch, 9u);
-}
-
-TEST(Diff, NonContiguousStaysSparseEvenWhenDenseAllowed) {
-  // Padding a gap with unchanged words would clobber concurrent writers;
-  // the encoder must refuse.
+TEST(Diff, RecordWithAGapRoundTripsUnpadded) {
+  // Padding a gap with unchanged words would clobber concurrent writers:
+  // the decoded record names exactly the words that were encoded.
   DiffRecord rec{5, 9, {10, 11, 13, 14}, {1, 2, 4, 5}};
-  EXPECT_FALSE(is_contiguous_run(rec));
   std::vector<uint8_t> buf;
   net::Writer w(buf);
-  encode_record(w, rec, /*allow_dense=*/true);
+  encode_record(w, rec);
   net::Reader r(buf);
   const DiffRecord out = decode_record(r);
   EXPECT_EQ(out.word_idx, rec.word_idx);
   EXPECT_EQ(out.word_val, rec.word_val);
-}
-
-TEST(Diff, ContiguityPredicate) {
-  EXPECT_TRUE(is_contiguous_run(DiffRecord{1, 1, {0, 1, 2}, {0, 0, 0}}));
-  EXPECT_FALSE(is_contiguous_run(DiffRecord{1, 1, {0, 2}, {0, 0}}));
-  EXPECT_FALSE(is_contiguous_run(DiffRecord{1, 1, {}, {}}));
-  EXPECT_TRUE(is_contiguous_run(DiffRecord{1, 1, {7}, {0}}));
 }
 
 TEST(Diff, WordDiffWireRoundTrip) {

@@ -1,8 +1,9 @@
-// Round-trip and fuzz coverage for the diff wire codecs (format v2
-// run-length encoding, ISSUE 5): every encoder knob combination must
-// decode back to the same logical diff, and applying the decoded diff
-// must produce byte-identical memory — including adversarial run
-// boundaries, empty diffs, single words and full objects.
+// Round-trip, size and fuzz coverage for the diff wire codec (flat or
+// run-length, whichever is smaller): every diff must decode back to the
+// same logical diff, and applying the decoded diff must produce
+// byte-identical memory — including adversarial run boundaries, empty
+// diffs, single words and full objects. The size table pins the exact
+// bytes each shape costs on the wire.
 #include "core/diff.hpp"
 
 #include <gtest/gtest.h>
@@ -18,58 +19,51 @@ namespace {
 void expect_word_diff_round_trip(const std::vector<uint32_t>& idx,
                                  const std::vector<uint32_t>& val,
                                  const std::vector<uint32_t>& ts, const char* label) {
-  for (const bool rle : {false, true}) {
-    std::vector<uint8_t> buf;
-    net::Writer w(buf);
-    const size_t saved = encode_word_diff(w, idx, val, ts, rle);
-    if (!rle) EXPECT_EQ(saved, 0u) << label;
-    net::Reader r(buf);
-    std::vector<uint32_t> i2, v2, t2;
-    decode_word_diff(r, i2, v2, t2);
-    EXPECT_TRUE(r.done()) << label << " rle=" << rle << ": trailing bytes";
-    EXPECT_EQ(i2, idx) << label << " rle=" << rle;
-    EXPECT_EQ(v2, val) << label << " rle=" << rle;
-    EXPECT_EQ(t2, ts) << label << " rle=" << rle;
-  }
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  const size_t saved = encode_word_diff(w, idx, val, ts);
+  EXPECT_EQ(buf.size() + saved, 5 + 12 * idx.size()) << label << ": saved is not vs flat";
+  net::Reader r(buf);
+  std::vector<uint32_t> i2, v2, t2;
+  decode_word_diff(r, i2, v2, t2);
+  EXPECT_TRUE(r.done()) << label << ": trailing bytes";
+  EXPECT_EQ(i2, idx) << label;
+  EXPECT_EQ(v2, val) << label;
+  EXPECT_EQ(t2, ts) << label;
 }
 
 void expect_record_round_trip(const DiffRecord& rec, const char* label) {
-  for (const bool dense : {false, true}) {
-    for (const bool rle : {false, true}) {
-      std::vector<uint8_t> buf;
-      net::Writer w(buf);
-      encode_record(w, rec, dense, rle);
-      net::Reader r(buf);
-      const DiffRecord out = decode_record(r);
-      EXPECT_TRUE(r.done()) << label << ": trailing bytes";
-      EXPECT_EQ(out.object, rec.object) << label;
-      EXPECT_EQ(out.epoch, rec.epoch) << label;
-      EXPECT_EQ(out.word_idx, rec.word_idx) << label << " dense=" << dense << " rle=" << rle;
-      EXPECT_EQ(out.word_val, rec.word_val) << label << " dense=" << dense << " rle=" << rle;
-      // The stamp VECTOR may differ in representation (a decoded run
-      // record materializes per-word stamps); the per-word effective
-      // stamp must not.
-      ASSERT_EQ(out.words(), rec.words()) << label;
-      for (size_t i = 0; i < rec.words(); ++i) {
-        EXPECT_EQ(out.ts_of(i), rec.ts_of(i)) << label << " word " << i;
-      }
-    }
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  encode_record(w, rec);
+  net::Reader r(buf);
+  const DiffRecord out = decode_record(r);
+  EXPECT_TRUE(r.done()) << label << ": trailing bytes";
+  EXPECT_EQ(out.object, rec.object) << label;
+  EXPECT_EQ(out.epoch, rec.epoch) << label;
+  EXPECT_EQ(out.word_idx, rec.word_idx) << label;
+  EXPECT_EQ(out.word_val, rec.word_val) << label;
+  // The stamp VECTOR may differ in representation (a decoded run record
+  // materializes per-word stamps); the per-word effective stamp must not.
+  ASSERT_EQ(out.words(), rec.words()) << label;
+  for (size_t i = 0; i < rec.words(); ++i) {
+    EXPECT_EQ(out.ts_of(i), rec.ts_of(i)) << label << " word " << i;
   }
 }
 
-TEST(DiffWire, WordDiffRunsShrinkDenseShapes) {
+TEST(DiffWire, WordDiffRunsShrinkContiguousShapes) {
   // One 64-word run with a shared stamp: 13 + 4*64 B vs 5 + 12*64 B.
   std::vector<uint32_t> idx(64), val(64), ts(64, 7);
   for (uint32_t i = 0; i < 64; ++i) {
     idx[i] = 100 + i;
     val[i] = i * 3;
   }
-  std::vector<uint8_t> flat, rle;
-  net::Writer wf(flat), wr(rle);
-  encode_word_diff(wf, idx, val, ts, /*allow_rle=*/false);
-  const size_t saved = encode_word_diff(wr, idx, val, ts, /*allow_rle=*/true);
-  EXPECT_LT(rle.size(), flat.size());
-  EXPECT_EQ(saved, flat.size() - rle.size());
+  std::vector<uint8_t> rle;
+  net::Writer wr(rle);
+  const size_t saved = encode_word_diff(wr, idx, val, ts);
+  const size_t flat = 5 + 12 * idx.size();
+  EXPECT_LT(rle.size(), flat);
+  EXPECT_EQ(saved, flat - rle.size());
   EXPECT_LE(rle.size(), idx.size() * 4 + 18);  // ~4 B/word + headers
   expect_word_diff_round_trip(idx, val, ts, "dense shared-stamp");
 }
@@ -101,9 +95,9 @@ TEST(DiffWire, WordDiffAdversarialShapes) {
   // Unsorted indices: the encoder must notice and fall back to flat.
   std::vector<uint8_t> buf;
   net::Writer w(buf);
-  const size_t saved =
-      encode_word_diff(w, std::vector<uint32_t>{9, 3, 4}, std::vector<uint32_t>{1, 2, 3},
-                       std::vector<uint32_t>{1, 1, 1}, /*allow_rle=*/true);
+  const size_t saved = encode_word_diff(w, std::vector<uint32_t>{9, 3, 4},
+                                       std::vector<uint32_t>{1, 2, 3},
+                                       std::vector<uint32_t>{1, 1, 1});
   EXPECT_EQ(saved, 0u);
   net::Reader r(buf);
   std::vector<uint32_t> i2, v2, t2;
@@ -122,7 +116,7 @@ TEST(DiffWire, RecordRunsRoundTripAllForms) {
   // Empty and single-word records.
   expect_record_round_trip(DiffRecord{1, 1, {}, {}}, "empty record");
   expect_record_round_trip(DiffRecord{1, 1, {3}, {4}}, "single word record");
-  // Full-object contiguous record (the dense path's home turf).
+  // Full-object contiguous record: one run at ~4 B/word.
   DiffRecord full{3, 8, {}, {}};
   for (uint32_t i = 0; i < 256; ++i) {
     full.word_idx.push_back(i);
@@ -131,9 +125,9 @@ TEST(DiffWire, RecordRunsRoundTripAllForms) {
   expect_record_round_trip(full, "full object");
 }
 
-TEST(DiffWire, RecordRunsBeatLegacySparseOnMultiRunShapes) {
-  // Two dense runs with a gap: legacy dense refuses (not ONE run), so
-  // the pre-v2 encoding is 8 B/word sparse; runs get ~4 B/word.
+TEST(DiffWire, RecordRunsBeatFlatOnMultiRunShapes) {
+  // Two dense runs with a gap: the flat form costs 8 B/word, runs get
+  // ~4 B/word.
   DiffRecord rec{5, 9, {}, {}};
   for (uint32_t i = 0; i < 64; ++i) {
     rec.word_idx.push_back(i);
@@ -143,18 +137,81 @@ TEST(DiffWire, RecordRunsBeatLegacySparseOnMultiRunShapes) {
     rec.word_idx.push_back(i);
     rec.word_val.push_back(i);
   }
-  std::vector<uint8_t> legacy, rle;
-  net::Writer wl(legacy), wr(rle);
-  encode_record(wl, rec, /*allow_dense=*/true, /*allow_rle=*/false);
-  const size_t saved = encode_record(wr, rec, /*allow_dense=*/true, /*allow_rle=*/true);
-  EXPECT_LT(rle.size(), legacy.size() * 3 / 4);
-  EXPECT_EQ(saved, legacy.size() - rle.size());
+  std::vector<uint8_t> rle;
+  net::Writer wr(rle);
+  const size_t saved = encode_record(wr, rec);
+  const size_t flat = 8 + 5 + 8 * rec.words();
+  EXPECT_LT(rle.size(), flat * 3 / 4);
+  EXPECT_EQ(saved, flat - rle.size());
+}
+
+/// One shape of the size table: the words, their stamps (empty: the
+/// record epoch stamps them all) and the exact encoded sizes.
+struct SizeCase {
+  const char* label;
+  std::vector<uint32_t> idx;
+  std::vector<uint32_t> ts;
+  size_t record_bytes;  ///< encode_record, (object, epoch) header included
+  size_t word_bytes;    ///< encode_word_diff; 0 for words without stamps
+};
+
+/// `count` consecutive indices from `start`, appended to `idx`.
+void add_run(std::vector<uint32_t>& idx, uint32_t start, uint32_t count) {
+  for (uint32_t i = 0; i < count; ++i) idx.push_back(start + i);
+}
+
+TEST(DiffWire, EncodedSizeTable) {
+  // Records:    flat = 8 + 5 + 8n (+4n with per-word stamps)
+  //             runs = 8 + 5 + sum(9 + 4c [+4 shared | +4c per-word])
+  // Word diffs: flat = 5 + 12n
+  //             runs = 5 + sum(9 + 4c + (4 shared | 4c per-word))
+  // The encoder ships the smaller; the saving is reported against flat.
+  std::vector<SizeCase> cases;
+  cases.push_back({"empty", {}, {}, 13, 5});
+  cases.push_back({"one word", {42}, {}, 21, 0});
+  cases.push_back({"one stamped word", {42}, {6}, 25, 17});
+  cases.push_back({"sparse scatter", {0, 5, 9, 20}, {}, 45, 0});
+  cases.push_back({"stamped sparse scatter", {0, 5, 9, 20}, {3, 4, 5, 6}, 61, 53});
+  SizeCase epoch_run{"one run, record epoch", {}, {}, 8 + 5 + 9 + 4 * 16, 0};
+  add_run(epoch_run.idx, 100, 16);
+  cases.push_back(epoch_run);
+  SizeCase shared_run{"one run, shared stamp", {}, {}, 8 + 5 + 9 + 4 * 16 + 4,
+                      5 + 9 + 4 * 16 + 4};
+  add_run(shared_run.idx, 100, 16);
+  shared_run.ts.assign(16, 6);
+  cases.push_back(shared_run);
+  SizeCase per_word{"three runs, per-word stamps", {}, {}, 8 + 5 + 3 * (9 + 4 * 8 + 4 * 8),
+                    5 + 3 * (9 + 4 * 8 + 4 * 8)};
+  add_run(per_word.idx, 0, 8);
+  add_run(per_word.idx, 20, 8);
+  add_run(per_word.idx, 40, 8);
+  for (uint32_t i = 0; i < 24; ++i) per_word.ts.push_back(3 + i % 2);
+  cases.push_back(per_word);
+
+  for (const SizeCase& c : cases) {
+    const size_t n = c.idx.size();
+    std::vector<uint32_t> val(n);
+    for (size_t i = 0; i < n; ++i) val[i] = static_cast<uint32_t>(7 * i + 1);
+    const DiffRecord rec{3, 9, c.idx, val, c.ts};
+    std::vector<uint8_t> buf;
+    net::Writer w(buf);
+    const size_t saved = encode_record(w, rec);
+    EXPECT_EQ(buf.size(), c.record_bytes) << c.label;
+    EXPECT_EQ(buf.size() + saved, 8 + 5 + (c.ts.empty() ? 8 : 12) * n) << c.label;
+    expect_record_round_trip(rec, c.label);
+    if (c.word_bytes == 0) continue;  // a word diff always carries stamps
+    std::vector<uint8_t> wbuf;
+    net::Writer ww(wbuf);
+    encode_word_diff(ww, c.idx, val, c.ts);
+    EXPECT_EQ(wbuf.size(), c.word_bytes) << c.label;
+    expect_word_diff_round_trip(c.idx, val, c.ts, c.label);
+  }
 }
 
 TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
   // Seeded sweep over random diffs: whatever the encoder emits, decoding
   // and applying must produce the same bytes and stamps as applying the
-  // original — in every knob combination, old format and new.
+  // original.
   Rng rng(20260726);
   for (int iter = 0; iter < 300; ++iter) {
     const size_t words = 1 + rng.below(300);
@@ -185,38 +242,32 @@ TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
     std::vector<uint8_t> got_data = want_data;
     std::vector<uint32_t> got_ts = want_ts;
     apply_word_diff(idx, val, ts, want_data.data(), want_ts.data());
-    for (const bool rle : {false, true}) {
+    {
       std::vector<uint8_t> buf;
       net::Writer w(buf);
-      encode_word_diff(w, idx, val, ts, rle);
+      encode_word_diff(w, idx, val, ts);
       net::Reader r(buf);
       std::vector<uint32_t> i2, v2, t2;
       decode_word_diff(r, i2, v2, t2);
-      std::vector<uint8_t> data = got_data;
-      std::vector<uint32_t> wts = got_ts;
-      apply_word_diff(i2, v2, t2, data.data(), wts.data());
-      ASSERT_EQ(data, want_data) << "iter " << iter << " rle=" << rle;
-      ASSERT_EQ(wts, want_ts) << "iter " << iter << " rle=" << rle;
+      apply_word_diff(i2, v2, t2, got_data.data(), got_ts.data());
+      ASSERT_EQ(got_data, want_data) << "iter " << iter;
+      ASSERT_EQ(got_ts, want_ts) << "iter " << iter;
     }
 
     // --- record codec, with and without per-word stamps ---
     DiffRecord rec{static_cast<ObjectId>(1 + iter), base_epoch + 4, idx, val};
     if (!uniform_ts) rec.word_ts = ts;
-    for (const bool dense : {false, true}) {
-      for (const bool rle : {false, true}) {
-        std::vector<uint8_t> buf;
-        net::Writer w(buf);
-        encode_record(w, rec, dense, rle);
-        net::Reader r(buf);
-        const DiffRecord out = decode_record(r);
-        std::vector<uint8_t> a(words * 4, 0), b(words * 4, 0);
-        std::vector<uint32_t> ats(words, 0), bts(words, 0);
-        apply_record(rec, a.data(), ats.data());
-        apply_record(out, b.data(), bts.data());
-        ASSERT_EQ(a, b) << "iter " << iter << " dense=" << dense << " rle=" << rle;
-        ASSERT_EQ(ats, bts) << "iter " << iter << " dense=" << dense << " rle=" << rle;
-      }
-    }
+    std::vector<uint8_t> buf;
+    net::Writer w(buf);
+    encode_record(w, rec);
+    net::Reader r(buf);
+    const DiffRecord out = decode_record(r);
+    std::vector<uint8_t> a(words * 4, 0), b(words * 4, 0);
+    std::vector<uint32_t> ats(words, 0), bts(words, 0);
+    apply_record(rec, a.data(), ats.data());
+    apply_record(out, b.data(), bts.data());
+    ASSERT_EQ(a, b) << "iter " << iter;
+    ASSERT_EQ(ats, bts) << "iter " << iter;
   }
 }
 

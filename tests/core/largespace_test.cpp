@@ -4,6 +4,10 @@
 // Table 1 scenario (the ratio object_space / DMM is what matters).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+
 #include "core/api.hpp"
 
 namespace lots::core {
@@ -254,6 +258,80 @@ TEST(LargeSpace, StaleHomePlanRebuildsTheHomeWritersDiffFromItsCopy) {
   EXPECT_EQ(ref.digests[0], ref.digests[1]);
   EXPECT_EQ(forced.digests[0], ref.digests[0]);
   EXPECT_EQ(forced.digests[1], ref.digests[0]);
+}
+
+/// Word `wi` of section `section` (0 data, 1 stamps, 2 twin) of an
+/// object image as the disk store holds it.
+uint32_t image_word(const std::vector<uint8_t>& image, size_t bytes, int section, int wi) {
+  uint32_t v;
+  std::memcpy(&v, image.data() + static_cast<size_t>(section) * bytes + wi * 4u, 4);
+  return v;
+}
+
+TEST(LargeSpace, DeliveryIntoASwappedOutTwinnedCopyMirrorsItsTwin) {
+  // A write-invalidate release pushes its diff to the home (kDiffBatch).
+  // When the home's copy is twinned and swapped out mid-interval, the
+  // delivery patches the disk image; it must patch the image's twin too,
+  // or the home's next flush takes the pushed words for its own writes
+  // and re-stamps them with its own epoch.
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 1u << 20;
+  c.protocol = ProtocolMode::kWriteInvalidateOnly;
+  Runtime rt(c);
+  constexpr int kInts = 1024;
+  constexpr size_t kBytes = kInts * 4;
+  std::atomic<bool> swapped{false}, pushed{false};
+  rt.run([&](int rank) {
+    Pointer<int> a;
+    a.alloc(kInts);
+    lots::barrier();
+    Node& node = Runtime::self();
+    const bool home = node.home_of(a.id()) == rank;
+    uint32_t pushed_ts = 0;
+    if (home) {
+      // Run the home's epoch ahead of the pusher's, so a re-stamp by the
+      // home's flush outranks the pusher's own barrier copy of the words.
+      for (int k = 0; k < 4; ++k) {
+        lots::acquire(9);
+        lots::release(9);
+      }
+      for (int i = 0; i < 100; ++i) a[static_cast<size_t>(i)] = -i - 1;
+      node.force_swap_out(a.id());  // twinned image: data, stamps, twin
+      swapped = true;
+      while (!pushed) std::this_thread::yield();
+      std::vector<uint8_t> image(3 * kBytes);
+      ASSERT_TRUE(node.disk().read_object(a.id(), image));
+      pushed_ts = image_word(image, kBytes, 1, 500);
+      int unmirrored = 0;
+      for (int i = 500; i < 600; ++i) {
+        ASSERT_EQ(image_word(image, kBytes, 0, i), static_cast<uint32_t>(3 * i));
+        unmirrored += image_word(image, kBytes, 2, i) != static_cast<uint32_t>(3 * i);
+      }
+      EXPECT_EQ(unmirrored, 0) << "pushed words missing from the image's twin";
+    } else {
+      while (!swapped) std::this_thread::yield();
+      lots::acquire(7);
+      for (int i = 500; i < 600; ++i) a[static_cast<size_t>(i)] = 3 * i;
+      lots::release(7);  // returns once the home acked the applied push
+      pushed = true;
+    }
+    lots::barrier();
+    if (home) {
+      // The barrier flushed the image in place: the pushed words keep
+      // the pusher's stamp.
+      ASSERT_FALSE(node.is_mapped(a.id()));
+      std::vector<uint8_t> image(node.disk().size_of(a.id()).value_or(0));
+      ASSERT_GE(image.size(), 2 * kBytes);
+      ASSERT_TRUE(node.disk().read_object(a.id(), image));
+      int restamped = 0;
+      for (int i = 500; i < 600; ++i) restamped += image_word(image, kBytes, 1, i) != pushed_ts;
+      EXPECT_EQ(restamped, 0) << "the home's flush re-stamped pushed words as its own";
+    }
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], -i - 1);
+    for (int i = 500; i < 600; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], 3 * i);
+    lots::barrier();
+  });
 }
 
 }  // namespace
