@@ -313,7 +313,10 @@ std::vector<ObjectId> Node::apply_barrier_plan(const std::vector<BarrierPlanEntr
   for (ObjectId id : adopt_remote) {
     auto lk = dir_.lock_shard(id);
     ObjectMeta* m = dir_.find(id);
-    if (m && m->on_remote) rehydrate_remote(*m, lk);
+    if (m && m->on_remote) {
+      disk_->write_object(id, take_remote(*m, lk));
+      m->on_disk = true;
+    }
   }
   // The barrier reconciles everything: scope update chains reset, and
   // the lock manager's dominance streaks restart from scratch (their

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 namespace lots::core {
 namespace {
@@ -60,20 +61,15 @@ void CoherenceEngine::apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t se
   const size_t bytes = word_bytes(m);
   if (m.map == MapState::kMapped) {
     apply_incoming(m, rec);
-  } else if (m.on_disk) {
-    std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(disk_.read_object(rec.object, image), "diff target image vanished");
-    // A twinned image (swapped out mid-interval) keeps its twin at
-    // +2*bytes: mirror into it exactly as a mapped copy does.
-    apply_mirrored(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes),
-                   m.twinned ? image.data() + 2 * bytes : nullptr);
-    disk_.write_object(rec.object, image);
-  } else if (m.home == self_rank) {
-    // The home must materialize the master copy even if it never
-    // touched the object itself.
-    std::vector<uint8_t> image(2 * bytes, 0);
-    apply_record(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes));
-    disk_.write_object(rec.object, image);
+  } else if (m.on_disk || m.home == self_rank) {
+    // Patch the swapped-out image (a twinned one mirrors into its twin,
+    // exactly as a mapped copy does) — or, as the home, materialize the
+    // master copy even if this node never touched the object itself.
+    storage::ImageBuffer image(bytes, m.on_disk && m.twinned);
+    const storage::ImageSections s = image.sections();
+    if (m.on_disk) LOTS_CHECK(disk_.read_image(rec.object, s), "diff target image vanished");
+    apply_mirrored(rec, s.data, s.stamps, s.twin);
+    disk_.write_image(rec.object, storage::DiskImage(s));
     m.on_disk = true;
   } else {
     // A parked update makes the fast-path predicate `pending.empty()`
@@ -124,23 +120,18 @@ void CoherenceEngine::flush(uint32_t flush_epoch, int thread, std::vector<DiffRe
     // closes the window between the epoch advance and this clear.)
     dir_.bump_generation(id);
     // Diff the mapped copy, or — when the dirty object was swapped out
-    // mid-interval — its disk image in place, without disturbing the DMM.
+    // mid-interval — its disk image, without disturbing the DMM.
     const size_t bytes = word_bytes(*m);
-    std::vector<uint8_t> image;
-    uint8_t* data;
-    uint32_t* ts;
-    const uint8_t* twin;
+    std::optional<storage::ImageBuffer> image;
+    storage::ImageSections s;
     if (m->map == MapState::kMapped) {
-      data = space_.dmm(m->dmm_offset);
-      ts = space_.ctrl_words(m->dmm_offset);
-      twin = space_.twin(m->dmm_offset);
+      s = {space_.dmm(m->dmm_offset), space_.ctrl_words(m->dmm_offset),
+           space_.twin(m->dmm_offset), bytes};
     } else {
       LOTS_CHECK(m->on_disk, "twinned unmapped object lost its disk image");
-      image.resize(3 * bytes);
-      LOTS_CHECK(disk_.read_object(id, image), "flush: disk image vanished");
-      data = image.data();
-      ts = reinterpret_cast<uint32_t*>(image.data() + bytes);
-      twin = image.data() + 2 * bytes;
+      image.emplace(bytes, /*twinned=*/true);
+      s = image->sections();
+      LOTS_CHECK(disk_.read_image(id, s), "flush: disk image vanished");
     }
     // A home's write is committed in its own copy: unless a release
     // ships it or the ablation broadcasts it, stamping the changed words
@@ -149,14 +140,17 @@ void CoherenceEngine::flush(uint32_t flush_epoch, int thread, std::vector<DiffRe
     DiffRecord rec;
     size_t changed;
     if (out || !home) {
-      rec = compute_twin_diff(id, flush_epoch, {data, bytes}, {twin, bytes});
-      for (uint32_t wi : rec.word_idx) ts[wi] = flush_epoch;
+      rec = compute_twin_diff(id, flush_epoch, {s.data, bytes}, {s.twin, bytes});
+      for (uint32_t wi : rec.word_idx) s.stamps[wi] = flush_epoch;
       changed = rec.words();
     } else {
-      changed = stamp_twin_diff(flush_epoch, {data, bytes}, {twin, bytes}, ts);
+      changed = stamp_twin_diff(flush_epoch, {s.data, bytes}, {s.twin, bytes}, s.stamps);
     }
-    if (!image.empty()) {
-      disk_.write_object(id, std::span<const uint8_t>(image.data(), 2 * bytes));
+    if (image) {
+      // The data is unchanged and the twin is spent: only the header and
+      // the stamps go back.
+      s.twin = nullptr;
+      disk_.rewrite_stamps(id, storage::DiskImage(s));
     }
     if (changed == 0) continue;  // read-only access: nothing to do
     stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
@@ -205,7 +199,7 @@ void CoherenceEngine::clear_writes(ObjectMeta& m) {
 
 DiffRecord CoherenceEngine::copy_writes(const ObjectMeta& m, uint32_t since_epoch) {
   const size_t bytes = word_bytes(m);
-  std::vector<uint8_t> image;
+  std::optional<storage::ImageBuffer> image;
   const uint8_t* data;
   const uint32_t* ts;
   if (m.map == MapState::kMapped) {
@@ -213,10 +207,11 @@ DiffRecord CoherenceEngine::copy_writes(const ObjectMeta& m, uint32_t since_epoc
     ts = space_.ctrl_words(m.dmm_offset);
   } else {
     LOTS_CHECK(m.on_disk, "home-written object has no local image");
-    image.resize((m.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(disk_.read_object(m.id, image), "copy_writes: disk image vanished");
-    data = image.data();
-    ts = reinterpret_cast<const uint32_t*>(image.data() + bytes);
+    image.emplace(bytes);
+    LOTS_CHECK(disk_.read_image(m.id, image->sections(), /*committed=*/true),
+               "copy_writes: disk image vanished");
+    data = image->data.data();
+    ts = image->stamps.data();
   }
   DiffRecord rec;
   rec.object = m.id;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -501,25 +502,25 @@ bool FetchEngine::drain_active_window() {
 void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
                               net::Writer& w) {
   const size_t bytes = word_bytes(obj);
-  // Materialize the home copy for reading without disturbing the DMM
-  // mapping state: mapped -> direct pointers (the committed image: the
-  // twin while the local application may be writing); on disk
-  // -> scratch image; never touched -> zeros.
-  std::vector<uint8_t> scratch;
+  // Materialize the home copy's committed image for reading without
+  // disturbing the DMM mapping state: mapped -> direct pointers (the
+  // twin while the local application may be writing); on disk -> the
+  // image's committed words (its twin when it has one) in scratch;
+  // never touched -> zeros.
+  std::optional<storage::ImageBuffer> scratch;
   const uint8_t* data;
   const uint32_t* ts;
   if (obj.map == MapState::kMapped) {
     data = node_.coherence_.committed_image(obj);
     ts = node_.space_.ctrl_words(obj.dmm_offset);
-  } else if (obj.on_disk) {
-    scratch.resize((obj.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(node_.disk_->read_object(obj.id, scratch), "home disk image vanished");
-    data = scratch.data();
-    ts = reinterpret_cast<const uint32_t*>(scratch.data() + bytes);
   } else {
-    scratch.assign(2 * bytes, 0);
-    data = scratch.data();
-    ts = reinterpret_cast<const uint32_t*>(scratch.data() + bytes);
+    scratch.emplace(bytes);
+    if (obj.on_disk) {
+      LOTS_CHECK(node_.disk_->read_image(obj.id, scratch->sections(), /*committed=*/true),
+                 "home disk image vanished");
+    }
+    data = scratch->data.data();
+    ts = scratch->stamps.data();
   }
 
   // Prefer the on-demand diff (§3.5) when the requester kept a base and

@@ -497,11 +497,10 @@ void Node::repair_objects_after_death(int dead, int holder) {
         stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
         if (have) {
           const size_t bytes = word_bytes(m);
-          std::vector<uint8_t> image(2 * bytes, 0);
-          std::memcpy(image.data(), rep.data.data(), std::min(bytes, rep.data.size()));
-          std::memcpy(image.data() + bytes, rep.ts.data(),
-                      std::min(bytes, rep.ts.size() * 4));
-          disk_->write_object(m.id, image);
+          rep.data.resize(bytes, 0);
+          rep.ts.resize(bytes / 4, 0);
+          disk_->write_image(
+              m.id, storage::DiskImage({rep.data.data(), rep.ts.data(), nullptr, bytes}));
           m.on_disk = true;
           m.valid_epoch = rep.epoch;
         } else {

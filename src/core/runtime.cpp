@@ -450,9 +450,9 @@ void* Node::access(ObjectId id) {
 // Dynamic memory mapper
 // ---------------------------------------------------------------------------
 
-void Node::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+std::vector<uint8_t> Node::take_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   // §5 remote swapping: pull the parked image back from the buddy's
-  // disk and continue as if it were local.
+  // disk and drop the buddy's copy.
   net::Message req;
   req.type = net::MsgType::kSwapGet;
   req.dst = swap_buddy();
@@ -474,34 +474,38 @@ void Node::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   lk.lock();
   net::Reader r(reply.payload);
   auto image = r.bytes_view();
-  disk_->write_object(m.id, image);
   m.on_remote = false;
-  m.on_disk = true;
   stats_.remote_swap_gets.fetch_add(1, std::memory_order_relaxed);
+  return {image.begin(), image.end()};
+}
+
+storage::ImageSections Node::dmm_sections(const ObjectMeta& m) const {
+  return {space_.dmm(m.dmm_offset), space_.ctrl_words(m.dmm_offset),
+          m.twinned ? space_.twin(m.dmm_offset) : nullptr, word_bytes(m)};
 }
 
 uint8_t* Node::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   LOTS_CHECK(m.map == MapState::kUnmapped, "map_in: already mapped");
-  const size_t bytes = word_bytes(m);
-  if (m.on_remote) rehydrate_remote(m, lk);
+  std::vector<uint8_t> parked;
+  if (m.on_remote) parked = take_remote(m, lk);
   m.dmm_offset = alloc_dmm_or_evict(m, lk);
   m.map = MapState::kMapped;
-  uint8_t* data = space_.dmm(m.dmm_offset);
-  uint32_t* ts = space_.ctrl_words(m.dmm_offset);
-  if (m.on_disk) {
-    // Image layout: [data words][timestamp words][twin words if dirty].
-    std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(disk_->read_object(m.id, image), "map_in: disk image vanished");
-    std::memcpy(data, image.data(), bytes);
-    std::memcpy(ts, image.data() + bytes, bytes);
-    if (m.twinned) std::memcpy(space_.twin(m.dmm_offset), image.data() + 2 * bytes, bytes);
-    disk_->free_object(m.id);  // DMM copy is now the single source of truth
-    m.on_disk = false;
+  // The block's pages may still hold an evicted object's sections: every
+  // section the copy uses is overwritten below, before any use.
+  const storage::ImageSections s = dmm_sections(m);
+  if (!parked.empty()) {
+    LOTS_CHECK(storage::DiskImage::from_blob(parked, s) == m.twinned,
+               "map_in: parked image twin mismatch");
+  } else if (m.on_disk) {
+    // Straight from the extent into the DMM regions. The extent stays
+    // reserved: the next swap-out rewrites it in place.
+    LOTS_CHECK(disk_->read_image(m.id, s), "map_in: disk image vanished");
+    m.on_disk = false;  // the DMM copy is now the single source of truth
   } else {
-    std::memset(data, 0, bytes);
-    std::memset(ts, 0, bytes);
+    std::memset(s.data, 0, s.bytes);
+    std::memset(s.stamps, 0, s.bytes);
   }
-  return data;
+  return s.data;
 }
 
 size_t Node::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk) {
@@ -578,11 +582,10 @@ size_t Node::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>
       } else {
         v.inflight = true;
         InflightGuard vguard{dir_, v, vlk};
-        if (v.share == ShareState::kValid || v.twinned) {
-          swap_out(v, vlk);  // dirty objects keep their twin inside the disk image
-        } else {
-          drop_mapping(v, /*keep_disk_image=*/false);  // stale diff base: cheaper to refetch
-        }
+        // The freed block is about to be refilled by an incoming copy:
+        // its pages stay resident instead of being discarded and
+        // re-faulted.
+        evict(v, vlk, /*keep_pages=*/true);
         stats_.evictions.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -590,25 +593,30 @@ size_t Node::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>
   }
 }
 
-void Node::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+void Node::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool keep_pages) {
+  if (m.share == ShareState::kValid || m.twinned) {
+    swap_out(m, lk, keep_pages);  // dirty objects keep their twin inside the disk image
+  } else {
+    drop_mapping(m, /*keep_disk_image=*/false, keep_pages);  // stale diff base: cheaper to refetch
+  }
+}
+
+void Node::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool keep_pages) {
   LOTS_CHECK(m.map == MapState::kMapped, "swap_out: not mapped");
   const size_t bytes = word_bytes(m);
-  std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-  std::memcpy(image.data(), space_.dmm(m.dmm_offset), bytes);
-  std::memcpy(image.data() + bytes, space_.ctrl_words(m.dmm_offset), bytes);
-  if (m.twinned) std::memcpy(image.data() + 2 * bytes, space_.twin(m.dmm_offset), bytes);
-
+  if (m.twinned && std::memcmp(space_.dmm(m.dmm_offset), space_.twin(m.dmm_offset), bytes) == 0) {
+    // Reader twin: identical to the data, so it carries no pending-write
+    // information (incoming words are mirrored into both). Drop it: the
+    // image skips the twin section, and the next access re-twins. An
+    // untwinned copy is also what may spill remotely (flush_interval
+    // skips untwinned objects).
+    m.twinned = false;
+    m.twin_writers = 0;
+  }
+  const storage::DiskImage image(dmm_sections(m));
   const Config& cfg = rt_.config();
   const bool local_full = cfg.disk_capacity_bytes > 0 &&
-                          disk_->stored_bytes() + image.size() > cfg.disk_capacity_bytes;
-  if (local_full && m.twinned &&
-      std::memcmp(image.data(), image.data() + 2 * bytes, bytes) == 0) {
-    // Reader twin: identical to the data, so it carries no pending-write
-    // information — drop it so the object qualifies for a remote spill
-    // (flush_interval skips untwinned objects).
-    m.twinned = false;
-    image.resize(2 * bytes);
-  }
+                          disk_->stored_bytes_after(m.id, image.size()) > cfg.disk_capacity_bytes;
   if (local_full && cfg.remote_swap && m.home != rank_ && !m.twinned && m.pending.empty()) {
     // §5 remote swapping: spill to the buddy's disk. Restricted to
     // clean, non-home objects so the service thread never has to chase
@@ -627,36 +635,36 @@ void Node::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
     req.flow = remote_key(rank_, m.id);  // same FIFO as this key's drops
     net::Writer w(req.payload);
     w.u64(remote_key(rank_, m.id));
-    w.bytes(image);
+    w.bytes(image.to_blob());
     lk.unlock();
     ep_.request(std::move(req));  // acked: the image is durable remotely
     lk.lock();
-    space_.discard(off, bytes);
+    if (!keep_pages) space_.discard(off, bytes);
     dmm_.free(off);
+    disk_->free_object(m.id);  // a reserved local extent is not needed
     m.on_remote = true;
     stats_.remote_swap_puts.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   LOTS_CHECK(!local_full || cfg.remote_swap || cfg.disk_capacity_bytes == 0,
              "local disk budget exhausted and remote swapping is disabled");
-  disk_->write_object(m.id, image);
+  disk_->write_image(m.id, image);
   m.on_disk = true;
-  drop_mapping(m, /*keep_disk_image=*/true);
+  drop_mapping(m, /*keep_disk_image=*/true, keep_pages);
 }
 
-void Node::drop_mapping(ObjectMeta& m, bool keep_disk_image) {
+void Node::drop_mapping(ObjectMeta& m, bool keep_disk_image, bool keep_pages) {
   if (m.map == MapState::kMapped) {
     dir_.bump_generation(m.id);  // defeat cached ALB pointers first
-    space_.discard(m.dmm_offset, word_bytes(m));
+    if (!keep_pages) space_.discard(m.dmm_offset, word_bytes(m));
     dmm_.free(m.dmm_offset);
     m.map = MapState::kUnmapped;
     m.dmm_offset = 0;
   }
   if (!keep_disk_image) {
-    if (m.on_disk) {
-      disk_->free_object(m.id);
-      m.on_disk = false;
-    }
+    // The extent goes too, even when a mapped copy had only reserved it.
+    disk_->free_object(m.id);
+    m.on_disk = false;
     if (m.on_remote) {
       net::Message drop;
       drop.type = net::MsgType::kSwapDrop;
@@ -681,11 +689,7 @@ void Node::force_swap_out(ObjectId id) {
   if (m.map != MapState::kMapped) return;
   m.inflight = true;
   InflightGuard guard{dir_, m, lk};
-  if (m.share == ShareState::kValid || m.twinned) {
-    swap_out(m, lk);
-  } else {
-    drop_mapping(m, false);
-  }
+  evict(m, lk, /*keep_pages=*/false);
 }
 
 bool Node::is_mapped(ObjectId id) {

@@ -210,12 +210,18 @@ class Node {
   // observe a vanished mapping. All of these throw only while holding
   // `lk` (the guard release needs the lock). --
   uint8_t* map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  /// Pulls a remotely parked image back onto the local disk (kSwapGet +
-  /// kSwapDrop). On return m.on_disk is set. Releases `lk` around the
-  /// blocking request.
-  void rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  void swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  void drop_mapping(ObjectMeta& m, bool keep_disk_image);
+  /// Takes a remotely parked image back from the swap buddy (kSwapGet +
+  /// kSwapDrop) and returns it; clears m.on_remote. Releases `lk` around
+  /// the blocking request.
+  std::vector<uint8_t> take_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
+  /// The mapped copy's sections in the DMM regions (twin iff twinned).
+  [[nodiscard]] storage::ImageSections dmm_sections(const ObjectMeta& m) const;
+  /// Unmaps `m`: a valid or dirty copy is swapped out, a stale one is
+  /// dropped. `keep_pages` skips discarding the block's pages — for an
+  /// eviction whose block an incoming copy refills at once.
+  void evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool keep_pages);
+  void swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool keep_pages);
+  void drop_mapping(ObjectMeta& m, bool keep_disk_image, bool keep_pages = false);
   size_t alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk);
   [[nodiscard]] int32_t swap_buddy() const { return (rank_ + 1) % nprocs(); }
   /// Key for images parked on a peer: (owner+1) << 32 | object id.

@@ -45,8 +45,10 @@ class SpaceLayout {
   }
 
   /// Releases the physical pages backing [offset, offset+len) in all
-  /// three segments (used after eviction so swapped-out objects cost no
-  /// RAM, and after barrier invalidation).
+  /// three segments, for a block freed with no copy to refill it (a
+  /// forced swap-out, a freed object, a recovery drop). An eviction for
+  /// a faulting object keeps the pages: the incoming copy overwrites
+  /// them at once.
   void discard(size_t offset, size_t len) const;
 
  private:

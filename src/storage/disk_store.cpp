@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/statvfs.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/clock.hpp"
@@ -27,11 +29,55 @@ DiskStore::~DiskStore() {
   }
 }
 
-void DiskStore::charge(uint64_t bytes, bool /*is_write*/) {
+void DiskStore::charge(uint64_t bytes) {
   const double us = model_.cost_us(bytes);
   modeled_io_us_ += static_cast<uint64_t>(us);
   if (stats_) stats_->disk_wait_us.fetch_add(static_cast<uint64_t>(us), std::memory_order_relaxed);
   if (model_.time_scale > 0) precise_delay_us(us * model_.time_scale);
+}
+
+void DiskStore::count_out(uint64_t bytes) {
+  charge(bytes);
+  if (stats_) {
+    stats_->swap_outs.fetch_add(1, std::memory_order_relaxed);
+    stats_->swap_bytes_out.fetch_add(bytes, std::memory_order_relaxed);
+  }
+}
+
+void DiskStore::count_in(uint64_t bytes) {
+  charge(bytes);
+  if (stats_) {
+    stats_->swap_ins.fetch_add(1, std::memory_order_relaxed);
+    stats_->swap_bytes_in.fetch_add(bytes, std::memory_order_relaxed);
+  }
+}
+
+void DiskStore::transfer(iovec* v, int n, uint64_t off, bool is_write) {
+  while (n > 0) {
+    const ssize_t done = is_write ? ::pwritev(fd_, v, n, static_cast<off_t>(off))
+                                  : ::preadv(fd_, v, n, static_cast<off_t>(off));
+    if (done <= 0) {
+      throw SystemError(std::string("DiskStore: ") + (is_write ? "pwritev" : "preadv") +
+                        " failed on " + path_);
+    }
+    off += static_cast<uint64_t>(done);
+    // Skip what moved: whole entries, then the front of a partial one.
+    for (size_t left = static_cast<size_t>(done); left > 0;) {
+      if (left >= v->iov_len) {
+        left -= v->iov_len;
+        ++v;
+        --n;
+      } else {
+        v->iov_base = static_cast<uint8_t*>(v->iov_base) + left;
+        v->iov_len -= left;
+        left = 0;
+      }
+    }
+    while (n > 0 && v->iov_len == 0) {
+      ++v;
+      --n;
+    }
+  }
 }
 
 Extent DiskStore::allocate(uint64_t length) {
@@ -80,53 +126,108 @@ void DiskStore::release(Extent e) {
   }
 }
 
-void DiskStore::write_object(uint64_t id, std::span<const uint8_t> data) {
+Extent& DiskStore::place(uint64_t id, uint64_t length) {
+  auto it = objects_.find(id);
+  if (it != objects_.end() && it->second.length >= length) {
+    it->second.used = length;  // in-place rewrite
+    return it->second;
+  }
+  if (it != objects_.end()) {
+    live_bytes_ -= it->second.length;
+    release(it->second);
+    objects_.erase(it);
+  }
+  Extent& e = objects_[id];
+  e = allocate(length);
+  e.used = length;
+  live_bytes_ += e.length;
+  return e;
+}
+
+void DiskStore::write_image(uint64_t id, const DiskImage& image) {
+  std::lock_guard lk(mu_);
+  write_whole(id, image);
+}
+
+void DiskStore::write_whole(uint64_t id, const DiskImage& image) {
+  iovec v[4];
+  const int n = static_cast<int>(image.gather(v));
+  const Extent& e = place(id, image.size());
+  transfer(v, n, e.offset, /*is_write=*/true);
+  count_out(image.size());
+}
+
+bool DiskStore::read_image(uint64_t id, const ImageSections& s, bool committed) {
+  LOTS_CHECK(!committed || s.twin == nullptr, "read_image: a committed read fills data only");
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);
-  Extent e;
-  if (it != objects_.end() && it->second.length == data.size()) {
-    e = it->second;  // in-place rewrite
+  if (it == objects_.end()) return false;
+  const uint64_t base = it->second.offset;
+  DiskImage::Header h;
+  // First call: the header, plus the data section unless the committed
+  // words are the twin's.
+  iovec first[2] = {{&h, DiskImage::kHeaderBytes}, {s.data, s.bytes}};
+  transfer(first, committed ? 1 : 2, base, /*is_write=*/false);
+  DiskImage::check(h, s.bytes);
+  const bool twin = (h.flags & DiskImage::kTwin) != 0;
+  LOTS_CHECK(committed || twin == (s.twin != nullptr), "read_image: twin section mismatch");
+  // Second call: whatever else is wanted, in file order. Raw stamps go
+  // straight into place, runs via a small buffer.
+  std::vector<uint8_t> runs;
+  iovec rest[3];
+  int n = 0;
+  uint64_t at = base + DiskImage::stamps_offset(h);
+  if (committed && !twin) {
+    rest[n++] = {s.data, s.bytes};
+    at = base + DiskImage::kHeaderBytes;
+  }
+  if (h.flags & DiskImage::kRuns) {
+    runs.resize(h.stamp_bytes);
+    rest[n++] = {runs.data(), runs.size()};
   } else {
-    if (it != objects_.end()) {
-      release(it->second);
-      live_bytes_ -= it->second.length;
-      objects_.erase(it);
-    }
-    e = allocate(data.size());
-    objects_[id] = e;
-    live_bytes_ += e.length;
+    rest[n++] = {s.stamps, h.stamp_bytes};
   }
-  size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t n = ::pwrite(fd_, data.data() + done, data.size() - done,
-                               static_cast<off_t>(e.offset + done));
-    if (n <= 0) throw SystemError("DiskStore: pwrite failed on " + path_);
-    done += static_cast<size_t>(n);
+  if (twin) rest[n++] = {committed ? s.data : s.twin, s.bytes};
+  transfer(rest, n, at, /*is_write=*/false);
+  if (!runs.empty()) DiskImage::decode_stamps(h, runs, s.stamps);
+  count_in(DiskImage::kHeaderBytes + h.stamp_bytes + s.bytes + (twin && !committed ? s.bytes : 0));
+  return true;
+}
+
+void DiskStore::rewrite_stamps(uint64_t id, const DiskImage& image) {
+  LOTS_CHECK(!(image.header().flags & DiskImage::kTwin), "rewrite_stamps: image has a twin");
+  std::lock_guard lk(mu_);
+  auto it = objects_.find(id);
+  LOTS_CHECK(it != objects_.end(), "rewrite_stamps: no image");
+  if (it->second.length < image.size()) {
+    write_whole(id, image);
+    return;
   }
-  charge(data.size(), /*is_write=*/true);
-  if (stats_) {
-    stats_->swap_outs.fetch_add(1, std::memory_order_relaxed);
-    stats_->swap_bytes_out.fetch_add(data.size(), std::memory_order_relaxed);
-  }
+  it->second.used = image.size();
+  iovec v[2];
+  image.stamp_parts(v);
+  const uint64_t base = it->second.offset;
+  transfer(&v[0], 1, base, /*is_write=*/true);
+  transfer(&v[1], 1, base + DiskImage::stamps_offset(image.header()), /*is_write=*/true);
+  count_out(DiskImage::kHeaderBytes + image.header().stamp_bytes);
+}
+
+void DiskStore::write_object(uint64_t id, std::span<const uint8_t> data) {
+  std::lock_guard lk(mu_);
+  const Extent& e = place(id, data.size());
+  iovec v{const_cast<uint8_t*>(data.data()), data.size()};
+  transfer(&v, 1, e.offset, /*is_write=*/true);
+  count_out(data.size());
 }
 
 bool DiskStore::read_object(uint64_t id, std::span<uint8_t> out) {
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);
   if (it == objects_.end()) return false;
-  LOTS_CHECK_EQ(it->second.length, out.size(), "DiskStore: read size mismatch");
-  size_t done = 0;
-  while (done < out.size()) {
-    const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
-                              static_cast<off_t>(it->second.offset + done));
-    if (n <= 0) throw SystemError("DiskStore: pread failed on " + path_);
-    done += static_cast<size_t>(n);
-  }
-  charge(out.size(), /*is_write=*/false);
-  if (stats_) {
-    stats_->swap_ins.fetch_add(1, std::memory_order_relaxed);
-    stats_->swap_bytes_in.fetch_add(out.size(), std::memory_order_relaxed);
-  }
+  LOTS_CHECK_EQ(it->second.used, out.size(), "DiskStore: read size mismatch");
+  iovec v{out.data(), out.size()};
+  transfer(&v, 1, it->second.offset, /*is_write=*/false);
+  count_in(out.size());
   return true;
 }
 
@@ -148,12 +249,19 @@ std::optional<uint64_t> DiskStore::size_of(uint64_t id) const {
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);
   if (it == objects_.end()) return std::nullopt;
-  return it->second.length;
+  return it->second.used;
 }
 
 uint64_t DiskStore::stored_bytes() const {
   std::lock_guard lk(mu_);
   return live_bytes_;
+}
+
+uint64_t DiskStore::stored_bytes_after(uint64_t id, uint64_t length) const {
+  std::lock_guard lk(mu_);
+  auto it = objects_.find(id);
+  const uint64_t own = it == objects_.end() ? 0 : it->second.length;
+  return live_bytes_ - own + std::max(own, length);
 }
 
 uint64_t DiskStore::file_bytes() const {

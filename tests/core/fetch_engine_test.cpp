@@ -408,6 +408,44 @@ TEST(FetchEngine, HomeServesTheCommittedTwinWhileItsAppThreadWrites) {
   });
 }
 
+TEST(FetchEngine, SwappedOutHomeServesTheCommittedTwin) {
+  // The same rule for a home copy that was swapped out mid-interval: its
+  // image's data section holds the home's open writes, its twin the
+  // committed words. A peer's fetch must be served the twin.
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 4u << 20;
+  Runtime rt(c);
+  constexpr int kInts = 1024;
+  std::atomic<bool> swapped{false};
+  std::atomic<bool> fetched{false};
+  rt.run([&](int rank) {
+    Pointer<int> o;
+    o.alloc(kInts);
+    const int home = Runtime::self().home_of(o.id());
+    if (rank == home) {
+      for (int i = 0; i < kInts; ++i) o[static_cast<size_t>(i)] = 1;
+    }
+    lots::barrier();
+    if (rank == home) {
+      for (int i = 0; i < kInts; ++i) o[static_cast<size_t>(i)] = 2;  // open interval
+      Runtime::self().force_swap_out(o.id());  // twinned image: data 2s, twin 1s
+      ASSERT_FALSE(Runtime::self().is_mapped(o.id()));
+      swapped.store(true);
+      while (!fetched.load()) std::this_thread::yield();
+    } else {
+      while (!swapped.load()) std::this_thread::yield();
+      int uncommitted = 0;  // counted, not asserted: the home must be let go
+      for (int i = 0; i < kInts; ++i) uncommitted += o[static_cast<size_t>(i)] != 1;
+      fetched.store(true);
+      EXPECT_EQ(uncommitted, 0) << "the peer saw words of the home's open interval";
+    }
+    lots::barrier();
+    for (int i = 0; i < kInts; ++i) ASSERT_EQ(o[static_cast<size_t>(i)], 2);
+    lots::barrier();
+  });
+}
+
 TEST(FetchEngine, PipelinedScanSurvivesLossyUdpBitIdentical) {
   constexpr int kProcs = 2;
   // Reference: synchronous demand scan on the in-proc fabric.

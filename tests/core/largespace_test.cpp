@@ -128,6 +128,57 @@ TEST(LargeSpace, SwappedObjectsKeepWordTimestamps) {
   });
 }
 
+TEST(LargeSpace, SwapPathMovesEachRowAboutOnce) {
+  // Written rows swept through a window a quarter of their size, two
+  // sweeps per barrier interval, as ooc_sweep does. An eviction writes
+  // the data, the stamps and a twin that differs from the data; a fault
+  // reads the same back; the barrier's flush of a swapped-out row writes
+  // back only the image header and its (one-run) stamps.
+  Config c;
+  c.nprocs = 1;
+  c.dmm_bytes = 1u << 20;
+  Runtime rt(c);
+  constexpr int kRows = 32;
+  constexpr int kInts = 16 * 1024;  // 64 KB rows: 2 MB through a 1 MB window
+  constexpr uint64_t kRow = kInts * 4;
+  constexpr uint64_t kMove = 2 * kRow + 4096;
+  rt.run([&](int) {
+    std::vector<Pointer<int>> rows(kRows);
+    for (auto& r : rows) r.alloc(kInts);
+    Node& node = Runtime::self();
+    NodeStats& st = node.stats();
+    uint64_t evictions = 0, faults = 0;
+    for (int interval = 0; interval < 3; ++interval) {
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        for (int k = 0; k < kRows; ++k) {
+          const uint64_t out0 = st.swap_bytes_out.load(), in0 = st.swap_bytes_in.load();
+          const uint64_t ev0 = st.evictions.load(), si0 = st.swap_ins.load();
+          auto& row = rows[static_cast<size_t>(k)];
+          for (int i = 0; i < kInts; ++i) row[static_cast<size_t>(i)] += k + i;
+          const uint64_t ev = st.evictions.load() - ev0, si = st.swap_ins.load() - si0;
+          evictions += ev;
+          faults += si;
+          EXPECT_LE(st.swap_bytes_out.load() - out0, ev * kMove) << "row " << k;
+          EXPECT_LE(st.swap_bytes_in.load() - in0, si * kMove) << "row " << k;
+        }
+      }
+      uint64_t swapped = 0;
+      for (auto& r : rows) swapped += !node.is_mapped(r.id());
+      const uint64_t out0 = st.swap_bytes_out.load();
+      lots::barrier();
+      EXPECT_GT(swapped, 0u);
+      EXPECT_LE(st.swap_bytes_out.load() - out0, swapped * 4096) << "interval " << interval;
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(faults, 0u);
+    for (int k = 0; k < kRows; ++k) {
+      for (int i = 0; i < kInts; i += 61) {
+        ASSERT_EQ(rows[static_cast<size_t>(k)][static_cast<size_t>(i)], 6 * (k + i));
+      }
+    }
+  });
+}
+
 // --- barrier footprint: what a barrier retains between flush and plan ---
 
 TEST(LargeSpace, HomeWritesSwappedOutMidIntervalRetainNoPayload) {
@@ -260,12 +311,21 @@ TEST(LargeSpace, StaleHomePlanRebuildsTheHomeWritersDiffFromItsCopy) {
   EXPECT_EQ(forced.digests[1], ref.digests[0]);
 }
 
-/// Word `wi` of section `section` (0 data, 1 stamps, 2 twin) of an
-/// object image as the disk store holds it.
-uint32_t image_word(const std::vector<uint8_t>& image, size_t bytes, int section, int wi) {
+/// Word `wi` of a data or twin section.
+uint32_t word_at(const std::vector<uint8_t>& section, int wi) {
   uint32_t v;
-  std::memcpy(&v, image.data() + static_cast<size_t>(section) * bytes + wi * 4u, 4);
+  std::memcpy(&v, section.data() + wi * 4u, 4);
   return v;
+}
+
+/// The image of object `id` as the disk store holds it, decoded by the
+/// image type; `twin` reports whether it carried a twin section.
+storage::ImageBuffer stored_image(Node& node, ObjectId id, size_t bytes, bool* twin) {
+  std::vector<uint8_t> blob(node.disk().size_of(id).value_or(0));
+  EXPECT_TRUE(node.disk().read_object(id, blob));
+  storage::ImageBuffer image(bytes, /*twinned=*/true);
+  *twin = storage::DiskImage::from_blob(blob, image.sections());
+  return image;
 }
 
 TEST(LargeSpace, DeliveryIntoASwappedOutTwinnedCopyMirrorsItsTwin) {
@@ -300,13 +360,14 @@ TEST(LargeSpace, DeliveryIntoASwappedOutTwinnedCopyMirrorsItsTwin) {
       node.force_swap_out(a.id());  // twinned image: data, stamps, twin
       swapped = true;
       while (!pushed) std::this_thread::yield();
-      std::vector<uint8_t> image(3 * kBytes);
-      ASSERT_TRUE(node.disk().read_object(a.id(), image));
-      pushed_ts = image_word(image, kBytes, 1, 500);
+      bool twin = false;
+      const storage::ImageBuffer image = stored_image(node, a.id(), kBytes, &twin);
+      ASSERT_TRUE(twin);
+      pushed_ts = image.stamps[500];
       int unmirrored = 0;
       for (int i = 500; i < 600; ++i) {
-        ASSERT_EQ(image_word(image, kBytes, 0, i), static_cast<uint32_t>(3 * i));
-        unmirrored += image_word(image, kBytes, 2, i) != static_cast<uint32_t>(3 * i);
+        ASSERT_EQ(word_at(image.data, i), static_cast<uint32_t>(3 * i));
+        unmirrored += word_at(image.twin, i) != static_cast<uint32_t>(3 * i);
       }
       EXPECT_EQ(unmirrored, 0) << "pushed words missing from the image's twin";
     } else {
@@ -321,11 +382,10 @@ TEST(LargeSpace, DeliveryIntoASwappedOutTwinnedCopyMirrorsItsTwin) {
       // The barrier flushed the image in place: the pushed words keep
       // the pusher's stamp.
       ASSERT_FALSE(node.is_mapped(a.id()));
-      std::vector<uint8_t> image(node.disk().size_of(a.id()).value_or(0));
-      ASSERT_GE(image.size(), 2 * kBytes);
-      ASSERT_TRUE(node.disk().read_object(a.id(), image));
+      bool twin = false;
+      const storage::ImageBuffer image = stored_image(node, a.id(), kBytes, &twin);
       int restamped = 0;
-      for (int i = 500; i < 600; ++i) restamped += image_word(image, kBytes, 1, i) != pushed_ts;
+      for (int i = 500; i < 600; ++i) restamped += image.stamps[static_cast<size_t>(i)] != pushed_ts;
       EXPECT_EQ(restamped, 0) << "the home's flush re-stamped pushed words as its own";
     }
     for (int i = 0; i < 100; ++i) ASSERT_EQ(a[static_cast<size_t>(i)], -i - 1);

@@ -39,6 +39,16 @@ TEST(Migration, DominantWriterAdoptsTheHome) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       EXPECT_EQ(Runtime::self().home_of(obj.id()), writer);
+      // The adoption may land after the 4th release, leaving no release
+      // by the home to convert. Two more critical sections, released by
+      // the home, must become notices: the first writes new values (an
+      // unchanged word makes no diff, so no record to convert), the
+      // second restores the round-3 values the readers check.
+      for (const int round : {4, 3}) {
+        lots::acquire(7);
+        for (int i = 0; i < 64; ++i) obj[i] = round * 100 + i;
+        lots::release(7);
+      }
     }
     // Event-only: orders the readers after the writer without giving the
     // barrier planner a chance to move the home itself.

@@ -93,13 +93,14 @@ TEST(RemoteSwap, DisabledBudgetAborts) {
       "disk budget exhausted");
 }
 
-/// Tight config where a single clean 128 KB object's image (256 KB)
-/// exceeds the local disk budget, so its first eviction spills remotely.
+/// Tight config where a single clean 128 KB object's image (its data
+/// alone) exceeds the local disk budget, so its first eviction spills
+/// remotely.
 Config spill_cfg() {
   Config c;
   c.nprocs = 2;
   c.dmm_bytes = 512u << 10;
-  c.disk_capacity_bytes = 200u << 10;
+  c.disk_capacity_bytes = 100u << 10;
   c.remote_swap = true;
   return c;
 }
@@ -114,7 +115,7 @@ void spill_object_remotely(PtrT& o, Fillers& fillers) {
   for (int i = 0; i < 32 * 1024; i += 8) o[static_cast<size_t>(i)] = i * 3 + 1;
   lots::release(0);  // flush: o is now clean + untwinned but modified-this-epoch
   // Three fillers fill the remaining DMM; the fourth evicts o (LRU).
-  // o's 256 KB image exceeds the 200 KB budget, so it spills remotely.
+  // o's image (over 128 KB) exceeds the 100 KB budget: it spills remotely.
   for (auto& f : fillers) {
     for (int i = 0; i < 32 * 1024; i += 1024) f[static_cast<size_t>(i)] = i;
   }
